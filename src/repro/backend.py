@@ -392,6 +392,7 @@ _DETAIL_MARKERS = (
     ("BoundsViolation", "bounds"),
     ("DeferredReadTimeout", "deadlock"),
     ("MissingWriteError", "deadlock"),
+    ("CallDepthError", "execution"),
 )
 
 

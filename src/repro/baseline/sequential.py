@@ -15,15 +15,26 @@ no context switches, no presence bits, no page management):
 * scalar moves are free (register allocation).
 
 It is also the semantic oracle the simulator's results are tested
-against, and — through the pluggable :class:`Clock` — the substrate of
-the Pingali & Rogers static baseline.
+against, and — through the pluggable :class:`Clock` and the hooks below
+— the one SPMD interpreter under the static baseline and the parallel
+and dist backends.  Programs run in the closure form
+:mod:`repro.baseline.lower` produces once per run.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any
 
+from repro.baseline.lower import (
+    ARRAY_READ,
+    ARRAY_WRITE,
+    RESERVED_FRAMES,
+    Lowering,
+    frames_per_call,
+    is_istructure,
+)
 from repro.common.errors import (
     BoundsViolation,
     ExecutionError,
@@ -33,13 +44,6 @@ from repro.common.errors import (
 from repro.lang import ast_nodes as A
 from repro.runtime.values import ArrayValue
 from repro.sim import timing as T
-
-# Native (no-overhead) cost constants, microseconds.
-ARRAY_READ = T.INT_MUL + T.INT_ADD + T.MEM_READ        # 1.8
-ARRAY_WRITE = T.INT_MUL + T.INT_ADD + T.MEM_WRITE      # 1.9
-LOOP_ITER = T.INT_ADD + T.INT_CMP + T.INT_CMP          # inc + cmp + branch
-CALL = 2 * T.CONTEXT_SWITCH                            # CALL + RET
-BRANCH = T.INT_CMP
 
 _ABSENT = object()
 
@@ -58,10 +62,48 @@ class Clock:
         return self.time
 
 
+def _offsetter(array_id, dims: tuple[int, ...], strides: tuple[int, ...]):
+    """Bounds-checked ``indices -> flat offset`` for one array shape,
+    with the common 1-D and 2-D integer cases unrolled."""
+
+    def general(indices):
+        if len(indices) != len(dims):
+            raise BoundsViolation(array_id, indices, dims)
+        off = 0
+        for idx, dim, stride in zip(indices, dims, strides):
+            if not isinstance(idx, int) or idx < 1 or idx > dim:
+                raise BoundsViolation(array_id, indices, dims)
+            off += (idx - 1) * stride
+        return off
+
+    if len(dims) == 1:
+        (d0,) = dims
+
+        def offset(indices):
+            if len(indices) == 1:
+                i = indices[0]
+                if i.__class__ is int and 0 < i <= d0:
+                    return i - 1
+            return general(indices)
+        return offset
+    if len(dims) == 2:
+        d0, d1 = dims
+
+        def offset(indices):
+            if len(indices) == 2:
+                i, j = indices
+                if (i.__class__ is int and j.__class__ is int
+                        and 0 < i <= d0 and 0 < j <= d1):
+                    return (i - 1) * d1 + j - 1
+            return general(indices)
+        return offset
+    return general
+
+
 class SeqArray:
     """A host-side I-structure: plain storage + single assignment."""
 
-    __slots__ = ("array_id", "dims", "strides", "cells")
+    __slots__ = ("array_id", "dims", "strides", "cells", "offset")
 
     _next_id = 1
 
@@ -79,16 +121,8 @@ class SeqArray:
         for d in dims:
             total *= d
         self.cells: list[Any] = [_ABSENT] * total
-
-    def offset(self, indices: tuple[int, ...]) -> int:
-        if len(indices) != len(self.dims):
-            raise BoundsViolation(self.array_id, indices, self.dims)
-        off = 0
-        for idx, dim, stride in zip(indices, self.dims, self.strides):
-            if not isinstance(idx, int) or idx < 1 or idx > dim:
-                raise BoundsViolation(self.array_id, indices, self.dims)
-            off += (idx - 1) * stride
-        return off
+        # indices -> flat offset, bounds-checked (an instance closure).
+        self.offset = _offsetter(self.array_id, dims, self.strides)
 
     def read(self, indices: tuple[int, ...]) -> Any:
         value = self.cells[self.offset(indices)]
@@ -108,16 +142,6 @@ class SeqArray:
         return ArrayValue(self.dims, flat)
 
 
-def is_istructure(obj) -> bool:
-    """Duck-typed check for array-like values (SeqArray, ShmArray, ...)."""
-    return callable(getattr(obj, "read", None)) and hasattr(obj, "dims")
-
-
-class _Return(Exception):
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-
 @dataclass
 class SeqResult:
     value: Any
@@ -130,22 +154,34 @@ class SeqResult:
 
 
 class Interpreter:
-    """Tree-walking evaluator with a cost clock.
+    """Runs a program's lowered closures against a cost clock.
 
-    The array hooks (:meth:`on_array_read`, :meth:`on_array_write`) and
-    the loop hook (:meth:`run_for`) are override points for the static
-    baseline.
+    Substrates override the hooks the lowering binds: the array hooks
+    (:meth:`on_alloc`, :meth:`on_array_read`, :meth:`on_array_write`),
+    :meth:`run_distributed` and ``iter_hook``, a callable run before
+    every ``for`` iteration (None: no call at all).  Given the
+    partitioned ``graph``, loops the Partitioner distributed run through
+    :meth:`run_distributed`; without it every loop runs whole.
     """
 
+    iter_hook = None
+
     def __init__(self, program: A.Program, clock: Clock | None = None,
-                 entry: str = "main") -> None:
+                 entry: str = "main", graph=None) -> None:
         self.program = program
         self.clock = clock or Clock()
         self.entry = entry
         self.op_count = 0
-        # Each IdLite call burns several Python frames; keep the guard
-        # comfortably below CPython's own recursion limit.
-        self.max_depth = 150
+        self.in_distributed = 0
+        # AST loop node -> its (partitioned) code block.
+        self.block_of = {} if graph is None else {
+            id(b.ast_ref): b for b in graph.loop_blocks()
+            if b.ast_ref is not None}
+        # The call-depth guard: as many IdLite calls as fit in CPython's
+        # recursion limit at this program's closure frames per call, so
+        # over-deep recursion fails here, the same on every substrate.
+        self.max_depth = ((sys.getrecursionlimit() - RESERVED_FRAMES)
+                          // frames_per_call(program))
 
     # -- entry ------------------------------------------------------------
 
@@ -156,188 +192,31 @@ class Interpreter:
         if len(args) != len(fn.params):
             raise ExecutionError(
                 f"{self.entry} expects {len(fn.params)} args, got {len(args)}")
-        value = self.call_function(fn, list(args), depth=0)
+        call = Lowering(self).function(self.entry)[0]
+        value = call(list(args), 0)
         if materialize and is_istructure(value):
             value = value.to_value()
         return SeqResult(value=value, time_us=self.clock.finish_time(),
                          op_count=self.op_count)
 
-    def call_function(self, fn: A.Function, args: list[Any], depth: int) -> Any:
-        if depth > self.max_depth:
-            raise ExecutionError(f"call depth over {self.max_depth}")
-        self.clock.charge(CALL)
-        env = [dict(zip(fn.params, args))]
-        try:
-            self.exec_body(fn.body, env, depth)
-        except _Return as ret:
-            return ret.value
-        return 0
+    # -- distributed loops ------------------------------------------------
 
-    # -- environments ---------------------------------------------------
+    def distributed_block(self, stmt: A.For):
+        """The partitioned code block whose Range Filter splits ``stmt``
+        across PEs, or None for a loop every PE runs whole."""
+        block = self.block_of.get(id(stmt))
+        if block is not None and block.distributed \
+                and block.range_filter is not None:
+            return block
+        return None
 
-    def lookup(self, env: list[dict], name: str) -> Any:
-        for scope in reversed(env):
-            if name in scope:
-                return scope[name]
-        raise ExecutionError(f"undefined name {name!r} (interpreter bug)")
+    def run_distributed(self, block, descending: bool, arr, fixed: tuple,
+                        init, limit, run_range) -> None:
+        """Run a distributed loop: ``run_range(first, last)`` per owned
+        subrange of ``init..limit`` (overridden by the SPMD substrates)."""
+        run_range(init, limit)
 
-    def rebind(self, env: list[dict], name: str, value: Any) -> None:
-        for scope in reversed(env):
-            if name in scope:
-                scope[name] = value
-                return
-        raise ExecutionError(f"cannot rebind unknown {name!r}")
-
-    # -- statements -----------------------------------------------------
-
-    def exec_body(self, body: list[A.Stmt], env: list[dict], depth: int,
-                  pending_next: dict | None = None) -> None:
-        for stmt in body:
-            self.exec_stmt(stmt, env, depth, pending_next)
-
-    def exec_stmt(self, stmt: A.Stmt, env: list[dict], depth: int,
-                  pending_next: dict | None) -> None:
-        if isinstance(stmt, A.Bind):
-            env[-1][stmt.name] = self.eval(stmt.value, env, depth)
-            return
-        if isinstance(stmt, A.NextBind):
-            if pending_next is None:
-                raise ExecutionError("'next' outside loop (interpreter bug)")
-            pending_next[stmt.name] = self.eval(stmt.value, env, depth)
-            return
-        if isinstance(stmt, A.ArrayWrite):
-            arr = self.lookup(env, stmt.array)
-            if not is_istructure(arr):
-                raise ExecutionError(f"{stmt.array!r} is not an array")
-            indices = tuple(self.eval(e, env, depth) for e in stmt.indices)
-            value = self.eval(stmt.value, env, depth)
-            self.on_array_write(arr, indices, value)
-            return
-        if isinstance(stmt, A.If):
-            self.clock.charge(BRANCH)
-            cond = self.eval(stmt.cond, env, depth)
-            body = stmt.then_body if cond else stmt.else_body
-            env.append({})
-            try:
-                self.exec_body(body, env, depth, pending_next)
-            finally:
-                env.pop()
-            return
-        if isinstance(stmt, A.Return):
-            raise _Return(self.eval(stmt.value, env, depth))
-        if isinstance(stmt, A.For):
-            self.run_for(stmt, env, depth)
-            return
-        if isinstance(stmt, A.While):
-            self.run_while(stmt, env, depth)
-            return
-        raise ExecutionError(f"unknown statement {type(stmt).__name__}")
-
-    # -- loops ----------------------------------------------------------
-
-    def run_for(self, stmt: A.For, env: list[dict], depth: int) -> None:
-        init = self.eval(stmt.init, env, depth)
-        limit = self.eval(stmt.limit, env, depth)
-        step = -1 if stmt.descending else 1
-        self.run_for_range(stmt, env, depth, init, limit, step)
-
-    def run_for_range(self, stmt: A.For, env: list[dict], depth: int,
-                      init: int, limit: int, step: int) -> None:
-        i = init
-        while (i >= limit) if step < 0 else (i <= limit):
-            self.clock.charge(LOOP_ITER)
-            self.run_iteration(stmt, env, depth, i)
-            i += step
-
-    def run_iteration(self, stmt: A.For, env: list[dict], depth: int,
-                      i: int) -> None:
-        pending: dict[str, Any] = {}
-        env.append({stmt.var: i})
-        try:
-            self.exec_body(stmt.body, env, depth, pending)
-        finally:
-            env.pop()
-        for name, value in pending.items():
-            self.rebind(env, name, value)
-
-    def run_while(self, stmt: A.While, env: list[dict], depth: int) -> None:
-        guard = 0
-        while True:
-            self.clock.charge(BRANCH)
-            if not self.eval(stmt.cond, env, depth):
-                return
-            guard += 1
-            if guard > 10_000_000:
-                raise ExecutionError("while loop ran 10M iterations")
-            pending: dict[str, Any] = {}
-            env.append({})
-            try:
-                self.exec_body(stmt.body, env, depth, pending)
-            finally:
-                env.pop()
-            for name, value in pending.items():
-                self.rebind(env, name, value)
-
-    # -- expressions -------------------------------------------------------
-
-    def eval(self, expr: A.Expr, env: list[dict], depth: int) -> Any:
-        self.op_count += 1
-
-        if isinstance(expr, A.Num):
-            return expr.value
-        if isinstance(expr, A.Var):
-            return self.lookup(env, expr.name)
-        if isinstance(expr, A.BinOp):
-            left = self.eval(expr.left, env, depth)
-            right = self.eval(expr.right, env, depth)
-            self.clock.charge(T.binop_cost(expr.op, left, right))
-            from repro.translator.isa import BINARY_FUNCS
-
-            try:
-                return BINARY_FUNCS[expr.op](left, right)
-            except TypeError as exc:
-                raise ExecutionError(f"{expr.loc}: {expr.op}: {exc}") from None
-        if isinstance(expr, A.UnOp):
-            operand = self.eval(expr.operand, env, depth)
-            self.clock.charge(T.unop_cost(expr.op, operand))
-            from repro.translator.isa import UNARY_FUNCS
-
-            return UNARY_FUNCS[expr.op](operand)
-        if isinstance(expr, A.IfExp):
-            self.clock.charge(BRANCH)
-            if self.eval(expr.cond, env, depth):
-                return self.eval(expr.then, env, depth)
-            return self.eval(expr.other, env, depth)
-        if isinstance(expr, A.Index):
-            arr = self.lookup(env, expr.array)
-            if not is_istructure(arr):
-                raise ExecutionError(f"{expr.array!r} is not an array")
-            indices = tuple(self.eval(e, env, depth) for e in expr.indices)
-            return self.on_array_read(arr, indices)
-        if isinstance(expr, A.Call):
-            return self.eval_call(expr, env, depth)
-        raise ExecutionError(f"unknown expression {type(expr).__name__}")
-
-    def eval_call(self, call: A.Call, env: list[dict], depth: int) -> Any:
-        args = [self.eval(a, env, depth) for a in call.args]
-        if call.name in A.ALLOC_BUILTINS:
-            return self.on_alloc(tuple(args))
-        if call.name in A.UNARY_BUILTINS:
-            from repro.translator.isa import UNARY_FUNCS
-
-            self.clock.charge(T.unop_cost(call.name, args[0]))
-            return UNARY_FUNCS[call.name](args[0])
-        if call.name in A.BINARY_BUILTINS:
-            from repro.translator.isa import BINARY_FUNCS
-
-            self.clock.charge(T.binop_cost(call.name, args[0], args[1]))
-            return BINARY_FUNCS[call.name](args[0], args[1])
-        fn = self.program.functions.get(call.name)
-        if fn is None:
-            raise ExecutionError(f"call to unknown {call.name!r}")
-        return self.call_function(fn, args, depth + 1)
-
-    # -- array hooks (overridden by the static baseline) ----------------
+    # -- array hooks (overridden by the SPMD substrates) -----------------
 
     def on_alloc(self, dims: tuple[int, ...]) -> SeqArray:
         self.clock.charge(T.ALLOC_ARRAY)

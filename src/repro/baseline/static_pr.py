@@ -115,14 +115,8 @@ class StaticInterpreter(Interpreter):
         self.element_bytes = config.machine.element_bytes
         self.cache_enabled = config.machine.cache_enabled
         clocks = PEClocks(self.num_pes)
-        super().__init__(program, clock=clocks)
+        super().__init__(program, clock=clocks, graph=graph)
         self.clocks = clocks
-        # AST loop node -> its (partitioned) code block.
-        self.block_of: dict[int, ir.CodeBlock] = {
-            id(b.ast_ref): b for b in graph.loop_blocks()
-            if b.ast_ref is not None
-        }
-        self.graph = graph
         # (array_id, offset) -> time available at its owner.
         self.avail: dict[tuple[int, int], float] = {}
         # (pe, array_id, page) -> cached since time t.
@@ -143,50 +137,27 @@ class StaticInterpreter(Interpreter):
 
     # -- distributed loops --------------------------------------------------
 
-    def run_for(self, stmt: A.For, env: list[dict], depth: int) -> None:
-        block = self.block_of.get(id(stmt))
-        init = self.eval(stmt.init, env, depth)
-        limit = self.eval(stmt.limit, env, depth)
-        step = -1 if stmt.descending else 1
-
-        distributed = (block is not None and block.distributed
-                       and block.range_filter is not None
-                       and self.clocks.ctx == "all")
-        if not distributed:
-            self.run_for_range(stmt, env, depth, init, limit, step)
-            return
-
-        rf = block.range_filter
-        arr = self._resolve_vid(block, rf.array_vid, env)
+    def run_distributed(self, block, descending, arr, fixed, init, limit,
+                        run_range) -> None:
         if not isinstance(arr, SeqArray):
             raise ExecutionError("range-filter array did not resolve")
-        fixed = tuple(self._resolve_vid(block, v, env)
-                      for v in rf.fixed_vids)
+        rf = block.range_filter
         header = self.header_for(arr)
 
         entry = max(self.clocks.times)  # SPMD: everyone enters together
         for p in range(self.num_pes):
             self.clocks.times[p] = max(self.clocks.times[p], entry)
+        self.in_distributed += 1
         try:
             for p in range(self.num_pes):
                 first, last = header.filtered_range(
-                    p, init, limit, descending=stmt.descending,
+                    p, init, limit, descending=descending,
                     fixed=fixed, dim=rf.dim)
                 self.clocks.ctx = p
-                self.run_for_range(stmt, env, depth, first, last, step)
+                run_range(first, last)
         finally:
             self.clocks.ctx = "all"
-
-    def _resolve_vid(self, block: ir.CodeBlock, vid: int,
-                     env: list[dict]) -> Any:
-        d = block.defs[vid]
-        if isinstance(d, ir.ConstDef):
-            return d.value
-        if isinstance(d, ir.ParamDef) and d.name:
-            return self.lookup(env, d.name)
-        if isinstance(d, ir.IndexDef):
-            return self.lookup(env, d.name)
-        raise ExecutionError(f"cannot resolve vid {vid} of {block.name}")
+            self.in_distributed -= 1
 
     # -- array hooks -------------------------------------------------------
 

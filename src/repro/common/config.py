@@ -125,7 +125,7 @@ class ParallelConfig:
         retry_backoff_max_s: Backoff ceiling.
         retry_jitter: Jitter fraction applied to each backoff,
             deterministic in ``seed`` (see
-            :class:`repro.parallel.recovery.RetryPolicy`).
+            :class:`repro.common.retry.RetryPolicy`).
         seed: Run seed; the only randomness it feeds is the backoff
             jitter, so recovery schedules are reproducible.
         fault_spec: Fault-injection plan (see

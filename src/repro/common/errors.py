@@ -204,6 +204,16 @@ class ExecutionError(RuntimeFault):
     """An instruction failed while executing (bad opcode, type error, ...)."""
 
 
+class CallDepthError(ExecutionError):
+    """IdLite calls nested deeper than the SPMD interpreter's guard.
+
+    The guard is sized so it fires before CPython's own recursion limit
+    on every substrate; the parallel and dist backends report it as
+    worker-side text, which the shared taxonomy classifies back to the
+    ``execution`` code.
+    """
+
+
 class MissingWriteError(ExecutionError):
     """A read of an element no execution order could have written.
 

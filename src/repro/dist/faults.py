@@ -264,6 +264,12 @@ class DistFaultInjector:
 
     # -- kill triggers (interpreter / heartbeat hooks) -------------------
 
+    def arms(self, event: str) -> bool:
+        """Whether a kill clause of this node, in any generation, triggers
+        on ``event`` (executors skip the hook call entirely otherwise)."""
+        return any(f.node == self.node and f.on == event
+                   for f in self._kills_all)
+
     def fire(self, event: str) -> None:
         if not self._kills:
             return

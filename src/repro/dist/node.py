@@ -48,7 +48,7 @@ import threading
 import time
 import traceback
 
-from repro.baseline.sequential import Clock, Interpreter, SeqArray
+from repro.baseline.spmd import SpmdInterpreter
 from repro.common.errors import (DeferredReadTimeout, ExecutionError,
                                  SingleAssignmentViolation)
 from repro.common.retry import RetryPolicy
@@ -115,132 +115,42 @@ class DistArray:
     def write(self, indices: tuple, value, replay: bool = False) -> None:
         self.runtime.array_write(self, indices, value, replay)
 
+    def stats(self) -> dict:
+        """This executor's access counters (the ``ShmArray.stats`` shape;
+        replay verification is counted node-wide instead)."""
+        return {"reads": self.reads, "writes": self.writes,
+                "deferred_reads": self.deferred_reads,
+                "spin_wait_s": self.spin_wait_s,
+                "max_spin_wait_s": self.max_spin_wait_s,
+                "replayed_present": 0, "stall_reports": 0,
+                "pages_touched": sorted(self.pages_touched)}
 
-class _NodeInterpreter(Interpreter):
-    """SPMD executor: same program, this node's Range-Filter subranges.
 
-    The distributed twin of the parallel backend's worker interpreter:
-    identities run lowest-first for ascending loops and highest-first
-    for descending ones, so a takeover's adopted adjacent subranges
-    resolve against its own earlier writes instead of self-deadlocking.
-    """
+class _NodeInterpreter(SpmdInterpreter):
+    """Message-runtime storage adapter: shared arrays are ``DistArray``
+    handles whose elements live in the owning nodes' element stores."""
+
+    shared_type = DistArray
 
     def __init__(self, program: A.Program, graph: ir.ProgramGraph,
                  runtime: "NodeRuntime", identities: tuple[int, ...],
-                 generation: int, replay: bool, entry: str) -> None:
-        super().__init__(program, clock=Clock(), entry=entry)
+                 replay: bool, entry: str) -> None:
+        super().__init__(program, graph, identities, entry,
+                         runtime.injector)
         self.runtime = runtime
-        self.identities = identities
-        self.generation = generation
         self.replay = replay
-        self.block_of = {id(b.ast_ref): b for b in graph.loop_blocks()
-                         if b.ast_ref is not None}
-        self.alloc_seq = 0
-        self.dist_arrays: list[DistArray] = []
-        self.in_distributed = 0
-        self.rf_counts: dict[tuple[str, int, int, int], int] = {}
 
-    # -- allocation ------------------------------------------------------
+    def alloc_shared(self, seq: int, dims: tuple[int, ...]) -> DistArray:
+        return DistArray(self.runtime, seq, dims)
 
-    def on_alloc(self, dims: tuple[int, ...]):
-        if self.in_distributed:
-            # Node-private temporary.
-            return SeqArray(dims)
-        # Replicated allocation: every node computes the same sequence
-        # number, so they agree on the array's identity without any
-        # coordination message.
-        self.alloc_seq += 1
-        arr = DistArray(self.runtime, self.alloc_seq, tuple(dims))
-        self.dist_arrays.append(arr)
-        return arr
+    def read_shared(self, arr: DistArray, indices: tuple):
+        return self.runtime.array_read(arr, indices)
 
-    # -- array access ----------------------------------------------------
+    def write_shared(self, arr: DistArray, indices: tuple, value) -> None:
+        self.runtime.array_write(arr, indices, value, self.replay)
 
-    def on_array_read(self, arr, indices: tuple):
-        if isinstance(arr, DistArray):
-            return self.runtime.array_read(arr, indices)
-        return arr.read(indices)
-
-    def on_array_write(self, arr, indices: tuple, value) -> None:
-        if isinstance(arr, DistArray):
-            self.runtime.injector.fire("write")
-            self.runtime.array_write(arr, indices, value, self.replay)
-            return
-        arr.write(indices, value)
-
-    # -- loops -----------------------------------------------------------
-
-    def run_iteration(self, stmt: A.For, env: list[dict], depth: int,
-                      i: int) -> None:
-        self.runtime.injector.fire("iter")
-        super().run_iteration(stmt, env, depth, i)
-
-    def run_for(self, stmt: A.For, env: list[dict], depth: int) -> None:
-        block = self.block_of.get(id(stmt))
-        init = self.eval(stmt.init, env, depth)
-        limit = self.eval(stmt.limit, env, depth)
-        step = -1 if stmt.descending else 1
-
-        distributed = (block is not None and block.distributed
-                       and block.range_filter is not None
-                       and not self.in_distributed)
-        if not distributed:
-            self.run_for_range(stmt, env, depth, init, limit, step)
-            return
-
-        rf = block.range_filter
-        arr = self._resolve_vid(block, rf.array_vid, env)
-        fixed = tuple(self._resolve_vid(block, v, env)
-                      for v in rf.fixed_vids)
-        if not isinstance(arr, DistArray):
-            # RF array is node-private (shouldn't happen): run it all.
-            self.run_for_range(stmt, env, depth, init, limit, step)
-            return
-        header = arr.header
-        idents = (tuple(reversed(self.identities)) if stmt.descending
-                  else self.identities)
-        self.in_distributed += 1
-        try:
-            for ident in idents:
-                first, last = header.filtered_range(
-                    ident, init, limit, descending=stmt.descending,
-                    fixed=fixed, dim=rf.dim)
-                items = max(0, (last - first) * step + 1)
-                key = (block.name, first, last, items)
-                self.rf_counts[key] = self.rf_counts.get(key, 0) + 1
-                self.run_for_range(stmt, env, depth, first, last, step)
-        finally:
-            self.in_distributed -= 1
-
-    def _resolve_vid(self, block: ir.CodeBlock, vid: int, env):
-        d = block.defs[vid]
-        if isinstance(d, ir.ConstDef):
-            return d.value
-        if isinstance(d, (ir.ParamDef, ir.IndexDef)) and d.name:
-            return self.lookup(env, d.name)
-        raise ExecutionError(f"cannot resolve vid {vid} of {block.name}")
-
-    # -- reporting -------------------------------------------------------
-
-    def telemetry(self, wall_time_s: float) -> dict:
-        out = {"wall_time_s": wall_time_s, "shared_reads": 0,
-               "shared_writes": 0, "deferred_reads": 0,
-               "spin_wait_s": 0.0, "max_spin_wait_s": 0.0,
-               "replayed_present": 0, "stall_reports": 0,
-               "pages_touched": {},
-               "rf_subranges": [(name, first, last, items, count)
-                                for (name, first, last, items), count
-                                in self.rf_counts.items()]}
-        for arr in self.dist_arrays:
-            out["shared_reads"] += arr.reads
-            out["shared_writes"] += arr.writes
-            out["deferred_reads"] += arr.deferred_reads
-            out["spin_wait_s"] += arr.spin_wait_s
-            out["max_spin_wait_s"] = max(out["max_spin_wait_s"],
-                                         arr.max_spin_wait_s)
-            if arr.pages_touched:
-                out["pages_touched"][arr.name] = sorted(arr.pages_touched)
-        return out
+    def header_of(self, arr: DistArray) -> ArrayHeader:
+        return arr.header
 
 
 class NodeRuntime:
@@ -524,8 +434,7 @@ class NodeRuntime:
     def _executor_main(self, identities: tuple[int, ...],
                        generation: int, slot: int, replay: bool) -> None:
         interp = _NodeInterpreter(self.program, self.graph, self,
-                                  identities, generation, replay,
-                                  self.entry)
+                                  identities, replay, self.entry)
         t0 = time.perf_counter()
         try:
             result = interp.run(self.args, materialize=False)

@@ -56,6 +56,7 @@ import queue
 import signal
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from multiprocessing import connection
 from typing import Any
 
@@ -66,10 +67,11 @@ from repro.graph import build_graph, ir
 from repro.lang import ast_nodes as A
 from repro.partitioner import partition
 from repro.runtime.arrays import ArrayHeader
-from repro.baseline.sequential import Clock, Interpreter, SeqArray
+from repro.baseline.spmd import SpmdInterpreter
 from repro.parallel.faults import FaultInjector, FaultPlan, resolve_plan
 from repro.parallel.manifest import ShmManifest
-from repro.parallel.recovery import RecoveryEvent, RecoveryLog, RetryPolicy
+from repro.common.retry import RetryPolicy
+from repro.parallel.recovery import RecoveryEvent, RecoveryLog
 from repro.parallel.shm_arrays import ShmArray
 
 log = logging.getLogger("repro.parallel")
@@ -218,18 +220,16 @@ class ParallelResult:
         return self.recovery.table()
 
 
-class _WorkerInterpreter(Interpreter):
-    """SPMD worker: same program, own Range-Filter subranges.
+class _WorkerInterpreter(SpmdInterpreter):
+    """Shared-memory storage adapter: shared arrays are ``ShmArray``
+    segments named by the run tag and allocation sequence number.
 
-    A normal worker executes one identity; a takeover executes several.
-    Identities run lowest-first for ascending distributed loops and
-    highest-first for descending ones, matching the global iteration
-    order so sweep-style adjacent-range dependencies between two adopted
-    identities resolve against this process's own earlier writes instead
-    of self-deadlocking.  (Pathological cross-range dependencies can
-    still deadlock a degraded run — the stall watchdog then aborts it
-    with a structured diagnosis rather than hanging.)
+    (Pathological cross-range dependencies between identities a takeover
+    adopted can still deadlock a degraded run — the stall watchdog then
+    aborts it with a structured diagnosis rather than hanging.)
     """
+
+    shared_type = ShmArray
 
     def __init__(self, program: A.Program, graph: ir.ProgramGraph,
                  spec: _WorkerSpec, num_workers: int, run_tag: str,
@@ -239,47 +239,34 @@ class _WorkerInterpreter(Interpreter):
                  read_timeout_s: float = 30.0,
                  spin_ceiling_s: float | None = None,
                  stall_fn=None, alloc_fn=None) -> None:
-        super().__init__(program, clock=Clock(), entry=entry)
+        super().__init__(program, graph, spec.identities, entry,
+                         injector or FaultInjector(FaultPlan(), spec.slot))
         self.spec = spec
         self.worker = spec.slot
-        self.identities = spec.identities
         self.num_workers = num_workers
         self.run_tag = run_tag
         self.page_size = page_size
         self.manifest = manifest
-        self.injector = injector or FaultInjector(FaultPlan(), spec.slot)
         self.read_timeout_s = read_timeout_s
         self.spin_ceiling_s = spin_ceiling_s
         self.stall_fn = stall_fn
         self.alloc_fn = alloc_fn
         # Pre-bound so the read hot path doesn't allocate a closure per
-        # deferred read.
-        self._on_spin = lambda: self.injector.fire("spin")
-        self.block_of = {id(b.ast_ref): b for b in graph.loop_blocks()
-                         if b.ast_ref is not None}
-        self.alloc_seq = 0
-        self.shared_arrays: list[ShmArray] = []
-        self.in_distributed = 0
-        self.rf_counts: dict[tuple[str, int, int, int], int] = {}
+        # deferred read; None when no spin fault is armed.
+        self._on_spin = (partial(self.injector.fire, "spin")
+                         if self.injector.arms("spin") else None)
 
-    # -- allocation -----------------------------------------------------
-
-    def on_alloc(self, dims: tuple[int, ...]):
-        if self.in_distributed:
-            # Worker-private temporary.
-            return SeqArray(dims)
-        # Replicated allocation: every worker computes the same sequence
-        # number, so they agree on the segment name; the process running
-        # identity 0 creates it.  A replay's create falls back to attach
-        # (exist_ok) — its predecessor may already have created it.
-        self.alloc_seq += 1
-        name = f"{self.run_tag}_{self.alloc_seq}"
+    def alloc_shared(self, seq: int, dims: tuple[int, ...]) -> ShmArray:
+        # The process running identity 0 creates the segment.  A
+        # replay's create falls back to attach (exist_ok) — its
+        # predecessor may already have created it.
+        name = f"{self.run_tag}_{seq}"
         create = 0 in self.identities
         if create and self.manifest is not None:
             # Record before creating: a death in the gap costs a no-op
             # unlink, while the reverse order would leak the segment.
             self.manifest.record(name)
-        arr = ShmArray(name, tuple(dims), create=create,
+        arr = ShmArray(name, dims, create=create,
                        page_size=self.page_size,
                        epoch_slots=self.num_workers,
                        slot=self.worker, generation=self.spec.generation,
@@ -288,104 +275,23 @@ class _WorkerInterpreter(Interpreter):
         # predecessor of any of them self-detects as superseded.
         for ident in self.identities:
             arr.set_epoch(ident, self.spec.generation)
-        self.shared_arrays.append(arr)
         if create and self.alloc_fn is not None:
             # Checkpointing only: tell the supervisor the segment's name
             # and geometry so it can attach and snapshot.  alloc_fn is
             # None when checkpointing is off — no message, no cost.
-            self.alloc_fn(self.alloc_seq, name, tuple(dims))
+            self.alloc_fn(seq, name, dims)
         return arr
 
-    # -- array access ------------------------------------------------------
+    def read_shared(self, arr: ShmArray, indices: tuple) -> Any:
+        return arr.read(indices, timeout_s=self.read_timeout_s,
+                        spin_ceiling_s=self.spin_ceiling_s,
+                        on_stall=self.stall_fn, on_spin=self._on_spin)
 
-    def on_array_read(self, arr, indices: tuple) -> Any:
-        if isinstance(arr, ShmArray):
-            return arr.read(indices, timeout_s=self.read_timeout_s,
-                            spin_ceiling_s=self.spin_ceiling_s,
-                            on_stall=self.stall_fn, on_spin=self._on_spin)
-        return arr.read(indices)
-
-    def on_array_write(self, arr, indices: tuple, value: Any) -> None:
-        if isinstance(arr, ShmArray):
-            self.injector.fire("write")
+    def write_shared(self, arr: ShmArray, indices: tuple, value: Any) -> None:
         arr.write(indices, value)
 
-    # -- loops -------------------------------------------------------------
-
-    def run_iteration(self, stmt: A.For, env: list[dict], depth: int,
-                      i: int) -> None:
-        self.injector.fire("iter")
-        super().run_iteration(stmt, env, depth, i)
-
-    # -- distributed loops ----------------------------------------------------
-
-    def run_for(self, stmt: A.For, env: list[dict], depth: int) -> None:
-        block = self.block_of.get(id(stmt))
-        init = self.eval(stmt.init, env, depth)
-        limit = self.eval(stmt.limit, env, depth)
-        step = -1 if stmt.descending else 1
-
-        distributed = (block is not None and block.distributed
-                       and block.range_filter is not None
-                       and not self.in_distributed)
-        if not distributed:
-            self.run_for_range(stmt, env, depth, init, limit, step)
-            return
-
-        rf = block.range_filter
-        arr = self._resolve_vid(block, rf.array_vid, env)
-        fixed = tuple(self._resolve_vid(block, v, env) for v in rf.fixed_vids)
-        if not isinstance(arr, ShmArray):
-            # RF array is worker-private (shouldn't happen): run it all.
-            self.run_for_range(stmt, env, depth, init, limit, step)
-            return
-        header = ArrayHeader(1, arr.dims, self.page_size, self.num_workers)
-        idents = (tuple(reversed(self.identities)) if stmt.descending
-                  else self.identities)
-        self.in_distributed += 1
-        try:
-            for ident in idents:
-                first, last = header.filtered_range(
-                    ident, init, limit, descending=stmt.descending,
-                    fixed=fixed, dim=rf.dim)
-                items = max(0, (last - first) * step + 1)
-                key = (block.name, first, last, items)
-                self.rf_counts[key] = self.rf_counts.get(key, 0) + 1
-                self.run_for_range(stmt, env, depth, first, last, step)
-        finally:
-            self.in_distributed -= 1
-
-    def _resolve_vid(self, block: ir.CodeBlock, vid: int, env) -> Any:
-        d = block.defs[vid]
-        if isinstance(d, ir.ConstDef):
-            return d.value
-        if isinstance(d, (ir.ParamDef, ir.IndexDef)) and d.name:
-            return self.lookup(env, d.name)
-        raise ExecutionError(f"cannot resolve vid {vid} of {block.name}")
-
-    # -- reporting -------------------------------------------------------
-
-    def telemetry(self, wall_time_s: float) -> dict:
-        out = {"wall_time_s": wall_time_s, "shared_reads": 0,
-               "shared_writes": 0, "deferred_reads": 0, "spin_wait_s": 0.0,
-               "max_spin_wait_s": 0.0, "replayed_present": 0,
-               "stall_reports": 0, "pages_touched": {},
-               "rf_subranges": [(name, first, last, items, count)
-                                for (name, first, last, items), count
-                                in self.rf_counts.items()]}
-        for arr in self.shared_arrays:
-            s = arr.stats()
-            out["shared_reads"] += s["reads"]
-            out["shared_writes"] += s["writes"]
-            out["deferred_reads"] += s["deferred_reads"]
-            out["spin_wait_s"] += s["spin_wait_s"]
-            out["max_spin_wait_s"] = max(out["max_spin_wait_s"],
-                                         s["max_spin_wait_s"])
-            out["replayed_present"] += s["replayed_present"]
-            out["stall_reports"] += s["stall_reports"]
-            if s["pages_touched"]:
-                out["pages_touched"][arr.name] = s["pages_touched"]
-        return out
+    def header_of(self, arr: ShmArray) -> ArrayHeader:
+        return ArrayHeader(1, arr.dims, self.page_size, self.num_workers)
 
     def cleanup(self) -> None:
         for arr in self.shared_arrays:

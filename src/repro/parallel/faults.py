@@ -168,6 +168,11 @@ class FaultInjector:
                       if f.worker == worker and f.gen in (0, generation)]
         self._counts = {event: 0 for event in _EVENTS}
 
+    def arms(self, event: str) -> bool:
+        """Whether any of this worker's faults triggers on ``event`` (the
+        interpreter skips the hook call entirely otherwise)."""
+        return any(f.on == event for f in self._mine)
+
     def fire(self, event: str) -> None:
         if not self._mine:
             return

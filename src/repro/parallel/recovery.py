@@ -14,9 +14,9 @@ This module holds the two passive pieces; the supervisor in
 * :class:`RetryPolicy` — how many times to respawn, with what backoff.
   Jitter is derived deterministically from ``(seed, worker, attempt)``
   so recovery schedules are reproducible run-to-run, matching the
-  repo-wide determinism discipline.  The implementation now lives in
-  :mod:`repro.common.retry` (it is shared with the distributed
-  backend's transport); this module re-exports it.
+  repo-wide determinism discipline.  It lives in
+  :mod:`repro.common.retry` (shared with the distributed backend's
+  transport).
 * :class:`RecoveryLog` — what actually happened: an ordered event list
   (respawns, takeovers, stall reports, supersessions), aggregate
   counters, and exporters into the shared
@@ -42,12 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# Re-export shim: RetryPolicy moved to repro.common.retry so the
-# supervisor here and the distributed backend's transport share one
-# budget implementation.  Importing it from this module keeps working.
-from repro.common.retry import RetryPolicy
-
-__all__ = ["EVENT_KINDS", "RecoveryEvent", "RecoveryLog", "RetryPolicy"]
+__all__ = ["EVENT_KINDS", "RecoveryEvent", "RecoveryLog"]
 
 # Event kinds recorded by the supervisor, in the order they typically
 # appear.  ``failure`` covers every WorkerFailure observed (including

@@ -1,8 +1,7 @@
 """Unit tests for the shared retry budget (:mod:`repro.common.retry`).
 
 Moved alongside the implementation when :class:`RetryPolicy` was hoisted
-out of ``repro.parallel.recovery``; the shim test pins the old import
-path to the same object so existing call sites cannot silently fork.
+out of ``repro.parallel.recovery``.
 """
 
 import pytest
@@ -57,11 +56,6 @@ class TestRetryPolicy:
         assert (p.max_retries_per_worker, p.max_retries_total) == (1, 3)
         assert (p.backoff_base_s, p.backoff_max_s) == (0.2, 1.5)
         assert (p.jitter, p.seed, p.enabled) == (0.0, 9, True)
-
-    def test_old_import_path_is_a_shim(self):
-        from repro.parallel import recovery
-
-        assert recovery.RetryPolicy is RetryPolicy
 
 
 FILL = """

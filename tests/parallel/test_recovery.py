@@ -22,7 +22,7 @@ from repro.api import compile_source
 from repro.common.config import ParallelConfig
 from repro.common.errors import (DeferredReadTimeout, ParallelExecutionError,
                                  SingleAssignmentViolation, WorkerSuperseded)
-from repro.parallel.recovery import RecoveryEvent, RecoveryLog, RetryPolicy
+from repro.parallel.recovery import RecoveryEvent, RecoveryLog
 from repro.parallel.shm_arrays import ShmArray
 
 FILL = """
