@@ -113,13 +113,14 @@ def _expr_frames(expr: A.Expr) -> int:
     elif isinstance(expr, A.IfExp):
         children = (expr.cond, expr.then, expr.other)
     elif isinstance(expr, A.Call):
-        children = expr.args
+        # The call closure plus its argument list comprehension.
+        return 2 + max((_expr_frames(e) for e in expr.args), default=0)
     elif isinstance(expr, A.Index):
-        # The read closure plus the subscript-tuple builder.
-        return 2 + max(_expr_frames(e) for e in expr.indices)
+        # The read closure, the subscript builder and its comprehension.
+        return 3 + max(_expr_frames(e) for e in expr.indices)
     else:
         return 1
-    return 1 + max((_expr_frames(e) for e in children), default=0)
+    return 1 + max(_expr_frames(e) for e in children)
 
 
 def _body_frames(body: list[A.Stmt]) -> int:
@@ -138,7 +139,7 @@ def _stmt_frames(stmt: A.Stmt) -> int:
         return 1 + max(_expr_frames(stmt.cond), _body_frames(stmt.then_body),
                        _body_frames(stmt.else_body))
     if isinstance(stmt, A.ArrayWrite):
-        return 2 + max(_expr_frames(e) for e in [*stmt.indices, stmt.value])
+        return 3 + max(_expr_frames(e) for e in [*stmt.indices, stmt.value])
     return 1 + _expr_frames(stmt.value)
 
 
@@ -451,9 +452,6 @@ class Lowering:
         if len(exprs) > 1 and None not in slots:
             return itemgetter(*slots)
         parts = [self._expr(e, scope) for e in exprs]
-        if len(parts) == 1:
-            (a,) = parts
-            return lambda f: (a(f),)
         if len(parts) == 2:
             a, b = parts
             return lambda f: (a(f), b(f))

@@ -64,7 +64,7 @@ class Clock:
 
 def _offsetter(array_id, dims: tuple[int, ...], strides: tuple[int, ...]):
     """Bounds-checked ``indices -> flat offset`` for one array shape,
-    with the common 1-D and 2-D integer cases unrolled."""
+    with the common 2-D integer case unrolled."""
 
     def general(indices):
         if len(indices) != len(dims):
@@ -76,16 +76,6 @@ def _offsetter(array_id, dims: tuple[int, ...], strides: tuple[int, ...]):
             off += (idx - 1) * stride
         return off
 
-    if len(dims) == 1:
-        (d0,) = dims
-
-        def offset(indices):
-            if len(indices) == 1:
-                i = indices[0]
-                if i.__class__ is int and 0 < i <= d0:
-                    return i - 1
-            return general(indices)
-        return offset
     if len(dims) == 2:
         d0, d1 = dims
 
