@@ -78,30 +78,30 @@ def is_istructure(obj) -> bool:
 
 # -- static analysis ------------------------------------------------------
 
-def op_count(expr: A.Expr) -> int:
+def _expr_ops(expr: A.Expr) -> int:
     """Expression nodes evaluated for ``expr``, ``IfExp`` branches excluded
     (they are counted when taken)."""
     if isinstance(expr, A.BinOp):
-        return 1 + op_count(expr.left) + op_count(expr.right)
+        return 1 + _expr_ops(expr.left) + _expr_ops(expr.right)
     if isinstance(expr, A.UnOp):
-        return 1 + op_count(expr.operand)
+        return 1 + _expr_ops(expr.operand)
     if isinstance(expr, A.IfExp):
-        return 1 + op_count(expr.cond)
+        return 1 + _expr_ops(expr.cond)
     if isinstance(expr, (A.Call, A.Index)):
         subs = expr.args if isinstance(expr, A.Call) else expr.indices
-        return 1 + sum(op_count(e) for e in subs)
+        return 1 + sum(_expr_ops(e) for e in subs)
     return 1
 
 
 def _stmt_ops(stmt: A.Stmt) -> int:
     if isinstance(stmt, (A.Bind, A.NextBind, A.Return)):
-        return op_count(stmt.value)
+        return _expr_ops(stmt.value)
     if isinstance(stmt, A.ArrayWrite):
-        return sum(op_count(e) for e in stmt.indices) + op_count(stmt.value)
+        return sum(_expr_ops(e) for e in stmt.indices) + _expr_ops(stmt.value)
     if isinstance(stmt, A.If):
-        return op_count(stmt.cond)
+        return _expr_ops(stmt.cond)
     if isinstance(stmt, A.For):
-        return op_count(stmt.init) + op_count(stmt.limit)
+        return _expr_ops(stmt.init) + _expr_ops(stmt.limit)
     return 0  # While: its condition is counted per test
 
 
@@ -117,7 +117,7 @@ def _expr_frames(expr: A.Expr) -> int:
         return 2 + max((_expr_frames(e) for e in expr.args), default=0)
     elif isinstance(expr, A.Index):
         # The read closure, the subscript builder and its comprehension.
-        return 3 + max(_expr_frames(e) for e in expr.indices)
+        return 3 + max((_expr_frames(e) for e in expr.indices), default=0)
     else:
         return 1
     return 1 + max(_expr_frames(e) for e in children)
@@ -416,7 +416,7 @@ class Lowering:
 
     def _while(self, stmt: A.While, scope: _Scope, lo: _FunctionState):
         cond = self._expr(stmt.cond, scope)
-        cond_ops = op_count(stmt.cond)
+        cond_ops = _expr_ops(stmt.cond)
         _, ops, iterate = self._loop_body(stmt.body, scope, lo)
         interp, charge = self.interp, self.charge
 
@@ -544,7 +544,7 @@ class Lowering:
         cond = self._expr(expr.cond, scope)
         then = self._expr(expr.then, scope)
         other = self._expr(expr.other, scope)
-        then_ops, other_ops = op_count(expr.then), op_count(expr.other)
+        then_ops, other_ops = _expr_ops(expr.then), _expr_ops(expr.other)
         interp, charge = self.interp, self.charge
 
         def ifexp(f):
