@@ -212,7 +212,9 @@ def dist_coord_kill9(nodes: int, verbose: bool) -> list[str]:
     completes the run with the exact fault-free value."""
     problems: list[str] = []
     program = compile_source(ROW_SWEEP)
-    n = 96  # must outlive pidfile discovery + the kill (wall-clock)
+    # Must outlive pidfile discovery + the kill (wall-clock): ~1 s on a
+    # 2-core host, as the dist chaos matrix sizes its timed faults.
+    n = 320
     oracle = program.run((n,), backend="seq").value
 
     with tempfile.TemporaryDirectory(prefix="pods-crash-") as tmp:

@@ -17,11 +17,15 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import os
+import sys
+import tempfile
 import time
 from typing import Callable, Sequence
 
-__all__ = ["check_leaks", "open_sockets", "run_matrix", "shm_entries",
-           "unlink_quietly", "wait_for_children"]
+__all__ = ["StderrCapture", "check_leaks", "open_sockets", "run_matrix",
+           "shm_entries", "unlink_quietly", "wait_for_children"]
+
+_TRACEBACK = b"Traceback (most recent call last)"
 
 
 # -- leak accounting ------------------------------------------------------
@@ -78,6 +82,44 @@ def check_leaks(problems: list[str], sockets0: int,
     shm = shm_entries() - shm0
     if shm:
         problems.append(f"leaked shm segments: {sorted(shm)}")
+
+
+class StderrCapture:
+    """Points fd 2 at a temporary file while the block runs.
+
+    Forked workers and helper processes inherit fd 2, so their output
+    lands in the capture too.  :meth:`stray_tracebacks` reports the
+    Python tracebacks written since its previous call; on exit the
+    whole capture is echoed to the real stderr, so nothing is hidden.
+    """
+
+    def __enter__(self) -> "StderrCapture":
+        sys.stderr.flush()
+        self._saved = os.dup(2)
+        self._file = tempfile.TemporaryFile()
+        os.dup2(self._file.fileno(), 2)
+        self._seen = 0
+        return self
+
+    def stray_tracebacks(self) -> list[str]:
+        sys.stderr.flush()
+        self._file.seek(self._seen)
+        data = self._file.read()
+        self._seen += len(data)
+        return [f"stray traceback on stderr: "
+                f"{chunk.strip().splitlines()[-1].decode(errors='replace')}"
+                for chunk in data.split(_TRACEBACK)[1:]]
+
+    def __exit__(self, *exc) -> None:
+        sys.stderr.flush()
+        os.dup2(self._saved, 2)
+        os.close(self._saved)
+        self._file.seek(0)
+        data = self._file.read()
+        self._file.close()
+        if data:
+            sys.stderr.buffer.write(data)
+            sys.stderr.flush()
 
 
 # -- the scenario-matrix loop ---------------------------------------------

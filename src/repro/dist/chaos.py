@@ -59,6 +59,10 @@ function main(n) {
 
 N = 8
 N_LONG = 16  # long enough that heartbeat silence is detected mid-run
+# Long enough that the sweep outlives a timed fault detector by about a
+# second: ~1.2 s at 2 and 3 nodes on a 2-core host, against 0.2 s for
+# the fence deadline and ~0.03 s for the coordinator kill.
+N_SLOW_DETECT = 320
 
 # Recovery knobs tightened so detection/takeover happen within a short
 # scenario; production defaults are tuned for real networks, not tests.
@@ -84,6 +88,9 @@ class Scenario:
     expect_min: dict = field(default_factory=dict)  # NetStats attr -> min
     takeovers: tuple = (0, 0)           # (min, max) expected takeovers
     failover: bool = False              # expect a standby promotion
+    # When the fault is only detected after a timeout, that deadline: a
+    # sweep that ends sooner cannot have exercised the fault.
+    detect_s: float = 0.0
 
 
 def scenarios(nodes: int) -> list[Scenario]:
@@ -100,16 +107,14 @@ def scenarios(nodes: int) -> list[Scenario]:
                  expect_min={"delayed": 3}),
         # Heartbeats delayed past the failure detector's deadline: the
         # node is fenced as a zombie and a survivor takes over, even
-        # though the process never crashed.
-        # n is sized so the sweep comfortably outlives the tightened
-        # failure-detector deadline; a run that finishes first would
-        # (correctly) never need the fence.
+        # though the process never crashed.  A run that finishes before
+        # the deadline would (correctly) never need the fence.
         Scenario("delay-hb-fence",
                  f"delay:src={slow},kind=hb,seconds=2.0,count=0",
-                 n=96, cfg={**FAST_RECOVERY,
-                            "heartbeat_timeout_s": 0.2,
-                            "read_timeout_s": 15.0},
-                 takeovers=(1, nodes - 1)),
+                 n=N_SLOW_DETECT, cfg={**FAST_RECOVERY,
+                                       "heartbeat_timeout_s": 0.2,
+                                       "read_timeout_s": 15.0},
+                 takeovers=(1, nodes - 1), detect_s=0.2),
         # A partition shorter than the retransmit budget's reach heals
         # with no membership change at all.
         Scenario("partition-heal", "partition:a=0,b=1,dur=0.4",
@@ -136,14 +141,14 @@ def scenarios(nodes: int) -> list[Scenario]:
         # standby fences the dead generation, nodes rejoin on the
         # pre-announced standby port with their report memories, and the
         # run completes with no node membership change at all.
-        # n is sized like delay-hb-fence: the sweep must outlive the
-        # third heartbeat or the run (correctly) finishes first and no
-        # standby promotion is ever needed.
+        # The sweep must outlive the third heartbeat or the run
+        # (correctly) finishes first and no standby promotion is ever
+        # needed.
         Scenario("coord-kill-midrun", "coord-kill:on=hb,after=2",
-                 n=96, cfg={**FAST_RECOVERY,
-                            "heartbeat_interval_s": 0.01,
-                            "read_timeout_s": 15.0},
-                 failover=True),
+                 n=N_SLOW_DETECT, cfg={**FAST_RECOVERY,
+                                       "heartbeat_interval_s": 0.01,
+                                       "read_timeout_s": 15.0},
+                 failover=True, detect_s=3 * 0.01),
         # The coordinator dies *late* — right as a node's first done
         # report arrives, before the state mutation it announces.  The
         # node's remembered reports resync the promoted standby, so the
@@ -204,11 +209,17 @@ def run_scenario(sc: Scenario, nodes: int, oracle_of,
         problems.append(f"value diverged: {res.value!r} != {want!r}")
     takeovers = res.raw.recovery.takeovers
     lo, hi = sc.takeovers
-    if not (lo <= takeovers <= hi):
-        problems.append(f"takeovers: want [{lo}, {hi}], got {takeovers}")
-    if sc.failover:
+    if res.raw.wall_time_s <= sc.detect_s:
+        # Recovery counts from a run this short say nothing: grow n.
+        problems.append(f"sweep too short to exercise the fault: "
+                        f"{res.raw.wall_time_s:.2f}s <= {sc.detect_s:g}s "
+                        f"detector deadline at n={sc.n}")
+    else:
+        if not (lo <= takeovers <= hi):
+            problems.append(f"takeovers: want [{lo}, {hi}], "
+                            f"got {takeovers}")
         kinds = [e.kind for e in res.raw.recovery.events]
-        if "failover" not in kinds:
+        if sc.failover and "failover" not in kinds:
             problems.append(
                 f"expected a failover event, got kinds {kinds}")
     ns = res.raw.netstats
@@ -239,7 +250,7 @@ _STERM_SCRIPT = "\n".join([
     "cfg = DistConfig(nodes=@NODES@, read_timeout_s=120.0, "
     "timeout_s=120.0)",
     "print('READY', flush=True)",
-    "compile_source(src).run((256,), backend='dist', config=cfg)",
+    "compile_source(src).run((512,), backend='dist', config=cfg)",
 ])
 
 

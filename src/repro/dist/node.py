@@ -7,13 +7,21 @@ two worlds that meet at the asyncio loop:
   the coordinator control link (hello/heartbeats up, start/adopt/
   ownermap/collect/fence/shutdown down), and the node's *element
   stores* — the authoritative, presence-bit storage for every
-  distributed-array element this node owns.  All store mutation is
-  serialized through the loop, so the stores need no locks.
+  distributed-array element this node owns.
 * the **executors** (worker threads): one sequential interpreter per
   adopted identity group, running the program SPMD-style exactly like
   the real-parallel backend — replicated scalar code, Range-Filter
   subranges for distributed loops, node-private ``SeqArray`` temporaries
   inside distributed iterations.
+
+The two worlds share the element stores under one store lock.  The
+Range Filter makes almost every write owner-local, so an executor
+applies its owner-local writes itself: presence check, store and
+waiter wake-up happen on the executor thread, under the lock, and a
+local double write raises in the writer.  Everything that touches a
+socket stays on the loop: remote writes, reads that miss the cache and
+the ``rdy`` replies a local write owes remote waiters are posted to it
+without waiting.  No send happens under the lock.
 
 Array semantics follow the paper's Section 4: elements are assigned to
 *identities* by the same first-element-ownership math as every other
@@ -77,12 +85,12 @@ class DistArray:
 
     Holds the geometry (an :class:`ArrayHeader` over the *identity*
     space — ownership never changes shape, only the identity->node
-    binding does) and this executor's access counters; storage lives in
-    the runtime's element stores and page cache.
+    binding does), this executor's access counters and the node's read
+    cache for the array; storage lives in the runtime's element stores.
     """
 
-    __slots__ = ("runtime", "seq", "dims", "header", "name", "reads",
-                 "writes", "deferred_reads", "spin_wait_s",
+    __slots__ = ("runtime", "seq", "dims", "header", "cache", "name",
+                 "reads", "writes", "deferred_reads", "spin_wait_s",
                  "max_spin_wait_s", "pages_touched")
 
     def __init__(self, runtime: "NodeRuntime", seq: int,
@@ -98,6 +106,9 @@ class DistArray:
         # which cached offsets a rebound identity owns).  setdefault on
         # a builtin dict is atomic under the GIL; headers are immutable.
         runtime.headers.setdefault(seq, self.header)
+        # The node-wide cache dict itself, shared with the loop and every
+        # other executor: it is never replaced, only filled.
+        self.cache = runtime.caches.setdefault(seq, {})
         # Zero-padded so the registry's sorted-name indexing matches
         # allocation order past nine arrays.
         self.name = f"a{seq:04d}"
@@ -156,11 +167,22 @@ class _NodeInterpreter(SpmdInterpreter):
 class NodeRuntime:
     """Everything one node process owns: loop, transport, stores, threads.
 
-    Thread contract: executor threads touch only (a) the lock-free read
-    cache (plain dict reads under the GIL; values are immutable once
-    present) and (b) ``call_soon_threadsafe`` entry points that move the
-    real work onto the loop.  The loop thread owns stores, pending-read
-    bookkeeping, the owner map and every socket.
+    Thread contract:
+
+    * ``_lock`` guards the element stores (``stores``, each store's
+      ``values`` and ``deferred``) and ``replayed_present``.  Any thread
+      may touch them, only under the lock, and nobody sends under it.
+    * Executor threads also fill and read the lock-free read cache
+      (plain dict operations under the GIL; values are immutable once
+      present) and read ``owners``.  An identity this node owns never
+      moves away while the node is live, so an executor that sees
+      itself as owner may store directly.
+    * Everything else goes to the loop with ``call_soon_threadsafe``
+      and no wait: remote writes, cache-missed reads (the executor waits
+      on its own future, not on the loop) and ``rdy`` replies.  The loop
+      thread owns pending-read bookkeeping, owner-map updates and every
+      socket.  Its FIFO keeps an executor's writes ahead of the ``done``
+      report that follows them.
     """
 
     def __init__(self, program, graph, node: int, nodes: int,
@@ -183,6 +205,7 @@ class NodeRuntime:
         self.policy = RetryPolicy.from_config(cfg)
         self.owners = list(range(nodes))  # identity -> node
         self.live = set(range(nodes))
+        self._lock = threading.Lock()  # stores + replayed_present
         self.stores: dict[int, ElementStore] = {}
         self.caches: dict[int, dict[int, object]] = {}
         self.headers: dict[int, ArrayHeader] = {}
@@ -276,9 +299,11 @@ class NodeRuntime:
                                      set(msg["live"]))
             elif t == "collect":
                 a = msg["a"]
-                store = self.stores.get(a)
-                vals = ({str(off): v for off, v in store.values.items()}
-                        if store is not None else {})
+                with self._lock:
+                    store = self.stores.get(a)
+                    vals = ({str(off): v
+                             for off, v in store.values.items()}
+                            if store is not None else {})
                 self._send_coord({"t": "segment", "node": self.node,
                                   "a": a, "vals": vals})
             elif t == "ckpt":
@@ -337,14 +362,15 @@ class NodeRuntime:
     def _ckpt_state(self) -> dict:
         """This node's owned element state, keyed for ``ckpt-state``."""
         arrays: dict[str, dict] = {}
-        for a, store in self.stores.items():
-            header = self.headers.get(a)
-            if header is None or not store.values:
-                continue
-            arrays[str(a)] = {
-                "dims": list(header.dims),
-                "vals": {str(off): v
-                         for off, v in store.values.items()}}
+        with self._lock:
+            for a, store in self.stores.items():
+                header = self.headers.get(a)
+                if header is None or not store.values:
+                    continue
+                arrays[str(a)] = {
+                    "dims": list(header.dims),
+                    "vals": {str(off): v
+                             for off, v in store.values.items()}}
         return arrays
 
     def _seed_restore(self) -> None:
@@ -366,12 +392,14 @@ class NodeRuntime:
                                  self.cfg.page_size,
                                  self.num_identities)
             self.headers.setdefault(ordinal, header)
-            store = self.stores.setdefault(ordinal, ElementStore())
             cache = self.caches.setdefault(ordinal, {})
-            for off, value in elements.items():
-                cache[off] = value
-                if self.owners[header.owner_of_offset(off)] == self.node:
-                    store.values.setdefault(off, value)
+            with self._lock:
+                store = self._store_of(ordinal)
+                for off, value in elements.items():
+                    cache[off] = value
+                    if self.owners[header.owner_of_offset(off)] == \
+                            self.node:
+                        store.values.setdefault(off, value)
 
     def _auth_reject(self) -> None:
         if self.endpoint is not None:
@@ -461,46 +489,44 @@ class NodeRuntime:
                                         f"{traceback.format_exc()}"})
 
     def _take_replayed(self) -> int:
-        """Drain the node-level replay-verify counter (loop-owned)."""
-        fut: cf.Future = cf.Future()
-
-        def grab() -> None:
-            count = self.replayed_present
-            self.replayed_present = 0
-            fut.set_result(count)
-
-        try:
-            self.loop.call_soon_threadsafe(grab)
-            return fut.result(timeout=5.0)
-        except Exception:
-            return 0
+        """Read and reset the node-level replay-verify counter."""
+        with self._lock:
+            count, self.replayed_present = self.replayed_present, 0
+        return count
 
     # ------------------------------------------------------------------
-    # array access (executor threads -> loop)
+    # array access (executor threads)
     # ------------------------------------------------------------------
 
     def array_write(self, arr: DistArray, indices: tuple, value,
                     replay: bool) -> None:
-        off = arr.header.offset(indices)  # bounds-checked, pure
-        owner_ident = arr.header.owner_of_offset(off)
+        header = arr.header
+        off = header.offset(indices)  # bounds-checked, pure
+        owner_ident = header.owner_of_offset(off)
         arr.writes += 1
-        arr.pages_touched.add(arr.header.page_of(off))
-        # Single assignment makes the value immutable: the writer may
-        # cache it immediately, whoever ends up storing it.
-        self.caches.setdefault(arr.seq, {})[off] = value
-        fut: cf.Future = cf.Future()
-        self.loop.call_soon_threadsafe(self._write_entry, arr.seq, off,
-                                       owner_ident, value, replay, fut)
-        # Local writes surface SingleAssignmentViolation synchronously;
-        # remote writes resolve once handed to the reliable transport
-        # (the violation, if any, surfaces owner-side as a node error).
-        fut.result(timeout=self.cfg.read_timeout_s)
+        arr.pages_touched.add(header.page_of(off))
+        if self.owners[owner_ident] != self.node:
+            # Single assignment makes the value immutable: the writer
+            # may cache it at once.  A remote owner reports a violation
+            # as its own node error; the writer moves on.
+            arr.cache[off] = value
+            self.loop.call_soon_threadsafe(self._write_entry, arr.seq, off,
+                                           owner_ident, value, replay)
+            return
+        # Store before caching, so a takeover's presence-bit replay of
+        # this node's cache cannot beat the write into the store.
+        waiters = self._store_write(arr.seq, off, value, replay)
+        arr.cache[off] = value
+        if waiters:
+            remote = self._wake(waiters, value)
+            if remote:
+                self.loop.call_soon_threadsafe(self._send_rdy, arr.seq,
+                                               off, value, remote)
 
     def array_read(self, arr: DistArray, indices: tuple):
         off = arr.header.offset(indices)
         arr.reads += 1
-        cache = self.caches.setdefault(arr.seq, {})
-        value = cache.get(off)
+        value = arr.cache.get(off)
         if value is not None:  # program values are numbers, never None
             return value
         owner_ident = arr.header.owner_of_offset(off)
@@ -522,37 +548,73 @@ class NodeRuntime:
             arr.max_spin_wait_s = max(arr.max_spin_wait_s, waited)
         return value
 
+    # -- owner-side store (any thread) -----------------------------------
+
+    def _store_of(self, a: int) -> ElementStore:
+        """``a``'s element store, created on first use (lock held)."""
+        store = self.stores.get(a)
+        if store is None:
+            store = self.stores[a] = ElementStore()
+        return store
+
+    def _store_write(self, a: int, off: int, value, replay: bool):
+        """Presence check and store under the lock; returns the waiters
+        the write releases.
+
+        A second write raises :class:`SingleAssignmentViolation`, unless
+        it is a replay of the stored value, which is only counted (the
+        idempotence that makes takeover re-execution safe).
+        """
+        with self._lock:
+            store = self._store_of(a)
+            existing = store.values.get(off)
+            if existing is not None:
+                if replay and existing == value:
+                    self.replayed_present += 1
+                    return ()
+                raise SingleAssignmentViolation(a, off)
+            store.values[off] = value
+            return store.deferred.pop(off, ())
+
+    @staticmethod
+    def _wake(waiters, value) -> list[int]:
+        """Resolve local waiters; return the remote ones' nodes."""
+        remote = []
+        for kind, waiter in waiters:
+            if kind == "local":
+                if not waiter.done():
+                    waiter.set_result((value, True))
+            else:
+                remote.append(waiter)
+        return remote
+
     # -- loop-side entry points ------------------------------------------
 
     def _write_entry(self, a: int, off: int, owner_ident: int, value,
-                     replay: bool, fut: cf.Future) -> None:
-        try:
-            owner_node = self.owners[owner_ident]
-            if owner_node == self.node:
-                self._apply_write(a, off, value, replay,
-                                  writer_node=self.node, report=False)
-            else:
-                self.endpoint.send(owner_node,
-                                   {"t": "write", "a": a, "off": off,
-                                    "v": value, "replay": replay})
-        except BaseException as exc:  # noqa: BLE001
-            if not fut.done():
-                fut.set_exception(exc)
-            return
-        if not fut.done():
-            fut.set_result(None)
+                     replay: bool) -> None:
+        owner_node = self.owners[owner_ident]
+        if owner_node == self.node:
+            # Rebound to this node by a takeover since the executor
+            # looked.  The presence-bit replay may already have stored
+            # this very value from the cache, so verify, don't violate.
+            self._apply_write(a, off, value, True, writer_node=self.node)
+        else:
+            self.endpoint.send(owner_node,
+                               {"t": "write", "a": a, "off": off,
+                                "v": value, "replay": replay})
 
     def _read_entry(self, a: int, off: int, owner_ident: int,
                     fut: cf.Future) -> None:
         owner_node = self.owners[owner_ident]
         if owner_node == self.node:
-            store = self.stores.setdefault(a, ElementStore())
-            value = store.values.get(off)
-            if value is not None:
-                self.caches.setdefault(a, {})[off] = value
-                fut.set_result((value, False))
-                return
-            store.deferred.setdefault(off, []).append(("local", fut))
+            with self._lock:
+                store = self._store_of(a)
+                value = store.values.get(off)
+                if value is None:
+                    store.deferred.setdefault(off, []).append(("local", fut))
+                    return
+            self.caches.setdefault(a, {})[off] = value
+            fut.set_result((value, False))
             return
         key = (a, off)
         entry = self.pending.get(key)
@@ -564,6 +626,11 @@ class NodeRuntime:
                                {"t": "read", "a": a, "off": off})
         entry["futs"].append(fut)
 
+    def _send_rdy(self, a: int, off: int, value, nodes: list[int]) -> None:
+        for node in nodes:
+            self.endpoint.send(node, {"t": "rdy", "a": a,
+                                      "vals": {str(off): value}})
+
     # ------------------------------------------------------------------
     # peer messages (loop thread)
     # ------------------------------------------------------------------
@@ -574,15 +641,17 @@ class NodeRuntime:
         t = m["t"]
         if t == "write":
             self._apply_write(m["a"], m["off"], m["v"], m["replay"],
-                              writer_node=src, report=True)
+                              writer_node=src)
         elif t == "read":
             a, off = m["a"], m["off"]
-            store = self.stores.setdefault(a, ElementStore())
-            if off in store.values:
-                self.endpoint.send(src, {"t": "rdy", "a": a,
-                                         "vals": self._page_of(a, off)})
-            else:
-                store.deferred.setdefault(off, []).append(("remote", src))
+            with self._lock:
+                store = self._store_of(a)
+                if off in store.values:
+                    vals = self._page_of(store, off)
+                else:
+                    store.deferred.setdefault(off, []).append(("remote", src))
+                    return
+            self.endpoint.send(src, {"t": "rdy", "a": a, "vals": vals})
         elif t == "rdy":
             a = m["a"]
             cache = self.caches.setdefault(a, {})
@@ -595,9 +664,9 @@ class NodeRuntime:
                         if not fut.done():
                             fut.set_result((value, True))
 
-    def _page_of(self, a: int, off: int) -> dict:
-        """Every present element of ``off``'s page (page-grain reply)."""
-        store = self.stores[a]
+    def _page_of(self, store: ElementStore, off: int) -> dict:
+        """Every present element of ``off``'s page (page-grain reply;
+        lock held)."""
         page_size = self.cfg.page_size
         start = (off // page_size) * page_size
         return {str(o): store.values[o]
@@ -605,40 +674,17 @@ class NodeRuntime:
                 if o in store.values}
 
     def _apply_write(self, a: int, off: int, value, replay: bool,
-                     writer_node: int, report: bool) -> None:
-        """Owner-side write: presence check, store, wake waiters.
-
-        ``report=False`` (local writer) raises the violation into the
-        caller so it propagates synchronously into the executor thread;
-        ``report=True`` (remote writer) posts a structured node error —
-        the writer has long since moved on.
-        """
-        store = self.stores.setdefault(a, ElementStore())
-        existing = store.values.get(off)
-        if existing is not None:
-            if replay:
-                if existing != value:
-                    exc = SingleAssignmentViolation(a, off)
-                    if report:
-                        self._post_violation(exc, writer_node)
-                        return
-                    raise exc
-                self.replayed_present += 1
-                return
-            exc = SingleAssignmentViolation(a, off)
-            if report:
-                self._post_violation(exc, writer_node)
-                return
-            raise exc
-        store.values[off] = value
+                     writer_node: int) -> None:
+        """Loop-side owner write (a peer's, a re-routed or a replayed
+        one): the writer has moved on, so a violation becomes a
+        structured node error instead of an exception."""
+        try:
+            waiters = self._store_write(a, off, value, replay)
+        except SingleAssignmentViolation as exc:
+            self._post_violation(exc, writer_node)
+            return
         self.caches.setdefault(a, {})[off] = value
-        for kind, waiter in store.deferred.pop(off, []):
-            if kind == "local":
-                if not waiter.done():
-                    waiter.set_result((value, True))
-            else:
-                self.endpoint.send(waiter, {"t": "rdy", "a": a,
-                                            "vals": {str(off): value}})
+        self._send_rdy(a, off, value, self._wake(waiters, value))
 
     def _post_violation(self, exc: SingleAssignmentViolation,
                         writer_node: int) -> None:
@@ -659,16 +705,18 @@ class NodeRuntime:
         self.live = live
         for node in dead:
             self.endpoint.forget(node)
+        if dead:
             # Orphaned remote waiters of a dead requester just drop;
             # its takeover replay re-reads everything it needs.
-            for store in self.stores.values():
-                for off in list(store.deferred):
-                    keep = [w for w in store.deferred[off]
-                            if w[0] == "local" or w[1] != node]
-                    if keep:
-                        store.deferred[off] = keep
-                    else:
-                        del store.deferred[off]
+            with self._lock:
+                for store in self.stores.values():
+                    for off in list(store.deferred):
+                        keep = [w for w in store.deferred[off]
+                                if w[0] == "local" or w[1] not in dead]
+                        if keep:
+                            store.deferred[off] = keep
+                        else:
+                            del store.deferred[off]
         # Re-issue pending reads that were addressed to a dead node.
         for key, entry in list(self.pending.items()):
             if entry["target"] in live:
@@ -676,17 +724,17 @@ class NodeRuntime:
             a, off = key
             new_node = self.owners[entry["ident"]]
             if new_node == self.node:
-                store = self.stores.setdefault(a, ElementStore())
-                value = store.values.get(off)
                 del self.pending[key]
-                if value is not None:
-                    self.caches.setdefault(a, {})[off] = value
-                    for fut in entry["futs"]:
-                        if not fut.done():
-                            fut.set_result((value, True))
-                else:
-                    store.deferred.setdefault(off, []).extend(
-                        ("local", fut) for fut in entry["futs"])
+                with self._lock:
+                    store = self._store_of(a)
+                    value = store.values.get(off)
+                    if value is None:
+                        store.deferred.setdefault(off, []).extend(
+                            ("local", fut) for fut in entry["futs"])
+                        continue
+                self.caches.setdefault(a, {})[off] = value
+                self._wake([("local", fut) for fut in entry["futs"]],
+                           value)
             else:
                 entry["target"] = new_node
                 self.endpoint.send(new_node,
@@ -702,7 +750,7 @@ class NodeRuntime:
             self._replay_cached(rebound)
 
     def _replay_cached(self, rebound: set[int]) -> None:
-        for a, cache in self.caches.items():
+        for a, cache in list(self.caches.items()):
             header = self.headers.get(a)
             if header is None:
                 continue
@@ -713,7 +761,7 @@ class NodeRuntime:
                 new_node = self.owners[ident]
                 if new_node == self.node:
                     self._apply_write(a, off, value, replay=True,
-                                      writer_node=self.node, report=True)
+                                      writer_node=self.node)
                 else:
                     self.endpoint.send(new_node,
                                        {"t": "write", "a": a, "off": off,

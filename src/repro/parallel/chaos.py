@@ -11,7 +11,9 @@ soak harness would use), and verifies after every run that:
   injected events;
 * unhealable runs raise a structured
   :class:`~repro.common.errors.ParallelExecutionError`;
-* ``/dev/shm`` holds zero leaked ``pods*`` segments either way.
+* ``/dev/shm`` holds zero leaked ``pods*`` segments either way;
+* nothing — parent, worker or helper process — prints a Python
+  traceback to stderr while a scenario runs.
 
 Used by the CI ``chaos`` job on 2 and 4 workers::
 
@@ -26,7 +28,8 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.api import compile_source
-from repro.common.chaoslib import run_matrix, shm_entries, unlink_quietly
+from repro.common.chaoslib import (StderrCapture, run_matrix, shm_entries,
+                                   unlink_quietly)
 from repro.common.config import ParallelConfig
 from repro.common.errors import ParallelExecutionError
 
@@ -149,10 +152,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers < 2:
         print("chaos needs --workers >= 2", file=sys.stderr)
         return 2
-    cases = [(sc.name,
-              lambda sc=sc: run_scenario(sc, args.workers, args.verbose))
-             for sc in scenarios(args.workers)]
-    return run_matrix(cases, "chaos", f"{args.workers} workers")
+    with StderrCapture() as stderr:
+        cases = [(sc.name,
+                  lambda sc=sc: (run_scenario(sc, args.workers, args.verbose)
+                                 + stderr.stray_tracebacks()))
+                 for sc in scenarios(args.workers)]
+        return run_matrix(cases, "chaos", f"{args.workers} workers")
 
 
 if __name__ == "__main__":

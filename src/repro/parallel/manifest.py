@@ -86,7 +86,7 @@ class ShmManifest:
         Returns the names actually unlinked; idempotent and safe to call
         on both the success and every failure path.
         """
-        from multiprocessing import shared_memory
+        from repro.parallel.shm_arrays import unlink_segment
 
         candidates = self.names()
         if os.path.isdir(_SHM_DIR):
@@ -99,22 +99,12 @@ class ShmManifest:
                 pass
         removed = []
         for name in candidates:
+            # Unlink by name: no attach, so a half-created segment (its
+            # creator died inside ftruncate) goes the same way.
             try:
-                shm = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
+                unlink_segment(name)
+            except OSError:
                 continue
-            except Exception:
-                # A half-created segment (e.g. zero-sized because the
-                # creator died inside ftruncate) can fail to map; remove
-                # the backing file directly.
-                try:
-                    os.unlink(os.path.join(_SHM_DIR, name))
-                    removed.append(name)
-                except OSError:
-                    pass
-                continue
-            shm.close()
-            shm.unlink()
             removed.append(name)
         try:
             os.unlink(self.path)

@@ -34,10 +34,13 @@ violation — this is what makes re-execution idempotent.
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 import time
-from multiprocessing import shared_memory
 from typing import Callable
+
+import _posixshmem
 
 from repro.common.errors import (BoundsViolation, DeferredReadTimeout,
                                  ExecutionError, SingleAssignmentViolation,
@@ -50,6 +53,49 @@ FLAG_BOOL = 3
 
 _PACK = struct.Struct("<d")
 _PACK_INT = struct.Struct("<q")
+
+
+class Segment:
+    """A POSIX shared-memory segment, opened without the resource tracker.
+
+    ``multiprocessing.shared_memory.SharedMemory`` registers every create
+    *and* every attach with the tracker process, which would unlink a
+    segment when the first process that touched it exits.  Unregistering
+    each attachment instead makes two unregisters hit the tracker's one
+    set entry, and it prints a ``KeyError`` traceback.  Python before
+    3.13 has no ``track=False``.  Ownership here is explicit (the parent
+    unlinks every segment through the run's ``ShmManifest``), so
+    segments never touch the tracker at all.
+    """
+
+    __slots__ = ("name", "size", "buf", "_mmap")
+
+    def __init__(self, name: str, create: bool = False,
+                 size: int = 0) -> None:
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+        fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
+        try:
+            if create:
+                os.ftruncate(fd, size)
+            self._mmap = mmap.mmap(fd, os.fstat(fd).st_size)
+        except OSError:
+            if create:
+                unlink_segment(name)
+            raise
+        finally:
+            os.close(fd)  # the mapping keeps the segment open
+        self.name = name
+        self.size = len(self._mmap)
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
+
+
+def unlink_segment(name: str) -> None:
+    """Remove segment ``name`` (``FileNotFoundError`` when absent)."""
+    _posixshmem.shm_unlink("/" + name)
 
 
 class ShmArray:
@@ -96,8 +142,7 @@ class ShmArray:
             # already be writing by the time the creator gets scheduled
             # again, and a late memset would erase their presence bits.
             try:
-                self.shm = shared_memory.SharedMemory(name=name, create=True,
-                                                      size=size)
+                self.shm = Segment(name, create=True, size=size)
             except FileExistsError:
                 if not exist_ok:
                     raise
@@ -106,17 +151,6 @@ class ShmArray:
         else:
             self.shm = self._attach(name, size, attach_timeout_s)
         self.name = name
-        # Python's resource_tracker would unlink the segment when the
-        # first worker that touched it exits, yanking it from under the
-        # others (and the parent's final gather).  Ownership is explicit
-        # here — the parent unlinks via the run's ShmManifest — so opt
-        # out.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(self.shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker API is private-ish
-            pass
         self._epochs = self.shm.buf[:self._epoch_bytes]
         self._flags = self.shm.buf[self._epoch_bytes:self._epoch_bytes + total]
         self._vals = self.shm.buf[self._epoch_bytes + total:
@@ -137,11 +171,11 @@ class ShmArray:
 
     @staticmethod
     def _attach(name: str, size: int,
-                attach_timeout_s: float) -> shared_memory.SharedMemory:
+                attach_timeout_s: float) -> Segment:
         deadline = time.monotonic() + attach_timeout_s
         while True:
             try:
-                shm = shared_memory.SharedMemory(name=name)
+                shm = Segment(name)
                 # The creator opens the segment before sizing it; an
                 # attach landing in that window sees a short file.
                 if shm.size >= size:
@@ -377,6 +411,6 @@ class ShmArray:
 
     def unlink(self) -> None:
         try:
-            self.shm.unlink()
+            unlink_segment(self.name)
         except FileNotFoundError:
             pass
