@@ -2,7 +2,8 @@
 
 Every app of the conformance matrix, plus SIMPLE 32x32, pinned exactly:
 seq ``time_us`` (as ``float.hex``) and ``op_count``; static ``time_us``,
-``pe_times`` and ``remote_misses`` at 1, 2 and 8 PEs.  Modeled time is
+``pe_times`` and ``remote_misses`` at 1, 2 and 8 PEs, and at 8 PEs with
+the page cache off and with 8-element pages.  Modeled time is
 the paper's instrument, so an interpreter change that reorders a single
 charge (float addition does not associate) fails here.
 
@@ -19,10 +20,17 @@ import pathlib
 import pytest
 
 from repro.backend import get_backend
+from repro.common.config import MachineConfig, SimConfig
 from tests.conformance.matrix import APPS
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_modeled.json")
 STATIC_PES = (1, 2, 8)
+# static@8 under non-default machines: the cache-off and short-page
+# branches of the array hooks.
+STATIC_VARIANTS = {
+    "static@8/nocache": MachineConfig(num_pes=8, cache_enabled=False),
+    "static@8/page8": MachineConfig(num_pes=8, page_size=8),
+}
 
 
 def _cases():
@@ -39,9 +47,12 @@ def measure(name: str) -> dict:
     program = thunk()
     seq = get_backend("seq").run(program, args).raw
     row = {"seq": {"time_us": seq.time_us.hex(), "op_count": seq.op_count}}
-    for pes in STATIC_PES:
-        st = get_backend("static").run(program, args, parallelism=pes).raw
-        row[f"static@{pes}"] = {
+    runs = {f"static@{pes}": {"parallelism": pes} for pes in STATIC_PES}
+    for key, machine in STATIC_VARIANTS.items():
+        runs[key] = {"config": SimConfig(machine=machine)}
+    for key, kwargs in runs.items():
+        st = get_backend("static").run(program, args, **kwargs).raw
+        row[key] = {
             "time_us": st.time_us.hex(),
             "pe_times": [t.hex() for t in st.pe_times],
             "remote_misses": st.remote_misses,
