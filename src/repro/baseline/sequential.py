@@ -36,16 +36,16 @@ from repro.baseline.lower import (
     is_istructure,
 )
 from repro.common.errors import (
-    BoundsViolation,
     ExecutionError,
     MissingWriteError,
     SingleAssignmentViolation,
 )
 from repro.lang import ast_nodes as A
+from repro.runtime.arrays import flat_size, offset_fn, row_strides
 from repro.runtime.values import ArrayValue
 from repro.sim import timing as T
 
-_ABSENT = object()
+ABSENT = object()  # the value of a never-written cell
 
 
 class Clock:
@@ -62,38 +62,10 @@ class Clock:
         return self.time
 
 
-def _offsetter(array_id, dims: tuple[int, ...], strides: tuple[int, ...]):
-    """Bounds-checked ``indices -> flat offset`` for one array shape,
-    with the common 2-D integer case unrolled."""
-
-    def general(indices):
-        if len(indices) != len(dims):
-            raise BoundsViolation(array_id, indices, dims)
-        off = 0
-        for idx, dim, stride in zip(indices, dims, strides):
-            if not isinstance(idx, int) or idx < 1 or idx > dim:
-                raise BoundsViolation(array_id, indices, dims)
-            off += (idx - 1) * stride
-        return off
-
-    if len(dims) == 2:
-        d0, d1 = dims
-
-        def offset(indices):
-            if len(indices) == 2:
-                i, j = indices
-                if (i.__class__ is int and j.__class__ is int
-                        and 0 < i <= d0 and 0 < j <= d1):
-                    return (i - 1) * d1 + j - 1
-            return general(indices)
-        return offset
-    return general
-
-
 class SeqArray:
     """A host-side I-structure: plain storage + single assignment."""
 
-    __slots__ = ("array_id", "dims", "strides", "cells", "offset")
+    __slots__ = ("array_id", "dims", "cells", "offset")
 
     _next_id = 1
 
@@ -103,32 +75,25 @@ class SeqArray:
         self.array_id = SeqArray._next_id
         SeqArray._next_id += 1
         self.dims = dims
-        strides = [1] * len(dims)
-        for k in range(len(dims) - 2, -1, -1):
-            strides[k] = strides[k + 1] * dims[k + 1]
-        self.strides = tuple(strides)
-        total = 1
-        for d in dims:
-            total *= d
-        self.cells: list[Any] = [_ABSENT] * total
+        self.cells: list[Any] = [ABSENT] * flat_size(dims)
         # indices -> flat offset, bounds-checked (an instance closure).
-        self.offset = _offsetter(self.array_id, dims, self.strides)
+        self.offset = offset_fn(self.array_id, dims, row_strides(dims))
 
     def read(self, indices: tuple[int, ...]) -> Any:
         value = self.cells[self.offset(indices)]
-        if value is _ABSENT:
+        if value is ABSENT:
             raise MissingWriteError(self.array_id, indices)
         return value
 
     def write(self, indices: tuple[int, ...], value: Any) -> int:
         off = self.offset(indices)
-        if self.cells[off] is not _ABSENT:
+        if self.cells[off] is not ABSENT:
             raise SingleAssignmentViolation(self.array_id, off)
         self.cells[off] = value
         return off
 
     def to_value(self) -> ArrayValue:
-        flat = [None if c is _ABSENT else c for c in self.cells]
+        flat = [None if c is ABSENT else c for c in self.cells]
         return ArrayValue(self.dims, flat)
 
 

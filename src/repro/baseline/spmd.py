@@ -11,10 +11,12 @@ a distributed iteration are private ``SeqArray`` temporaries.
 
 A backend is a storage adapter: :meth:`SpmdInterpreter.alloc_shared`,
 :meth:`read_shared` and :meth:`write_shared` over its ``shared_type``
-(``ShmArray`` segments, ``DistArray`` handles), and
-:meth:`header_of` for the Range Filter's geometry.  Shared arrays report
-their access counters through ``stats()``, which :meth:`telemetry`
-folds into the per-executor record both backends send home.
+(``ShmArray`` segments, ``DistArray`` handles).  A shared array carries
+its :class:`~repro.runtime.arrays.ArrayHeader`, built once when it is
+allocated, as ``header``: the Range Filter's geometry.  Shared arrays
+report their access counters through ``stats()``, which
+:meth:`telemetry` folds into the per-executor record both backends send
+home.
 """
 
 from __future__ import annotations
@@ -67,10 +69,6 @@ class SpmdInterpreter(Interpreter):
     def write_shared(self, arr, indices: tuple, value) -> None:
         raise NotImplementedError
 
-    def header_of(self, arr):
-        """The :class:`~repro.runtime.arrays.ArrayHeader` of ``arr``."""
-        raise NotImplementedError
-
     # -- interpreter hooks -------------------------------------------------
 
     def on_alloc(self, dims: tuple[int, ...]):
@@ -100,7 +98,7 @@ class SpmdInterpreter(Interpreter):
             # RF array is executor-private (shouldn't happen): run it all.
             run_range(init, limit)
             return
-        header = self.header_of(arr)
+        header = arr.header
         step = -1 if descending else 1
         idents = (tuple(reversed(self.identities)) if descending
                   else self.identities)

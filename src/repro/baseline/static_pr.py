@@ -17,6 +17,10 @@ on the sequential interpreter:
   its owner; a reader must wait for ``avail`` plus a blocking transfer
   when the element is remote (page-grain caching amortizes repeats, as
   both systems cache pages);
+* those records are per-array tables built when the array is allocated,
+  as the Array Manager builds its header (Section 4.1): the header's
+  page-owner table, one ``avail`` time per element and, per PE, one
+  cached-since time per page (:class:`StaticArray`);
 * there is no overlap: waits extend the reader's clock directly, which
   is exactly the cost of blocking (non-split-phase) communication.
 
@@ -33,11 +37,12 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.config import MachineConfig, SimConfig
-from repro.common.errors import ExecutionError
+from repro.common.errors import ExecutionError, MissingWriteError
 from repro.graph import ir
 from repro.lang import ast_nodes as A
 from repro.runtime.arrays import ArrayHeader
 from repro.baseline.sequential import (
+    ABSENT,
     ARRAY_READ,
     ARRAY_WRITE,
     Clock,
@@ -57,40 +62,50 @@ def _remote_read_rt(page_size: int, element_bytes: int) -> float:
 
 
 REMOTE_WRITE_SEND = T.RU_MSG_COST + T.MEM_WRITE
+REMOTE_WRITE_LATENCY = T.message_latency(32)
 
 
 class PEClocks(Clock):
-    """One clock per PE plus a context: 'all' (replicated SPMD code) or a
-    specific PE (a distributed-loop iteration)."""
+    """One clock per PE plus a context: None (replicated SPMD code,
+    charged to every PE) or a specific PE (a distributed-loop
+    iteration)."""
 
     def __init__(self, num_pes: int) -> None:
         super().__init__()
         self.times = [0.0] * num_pes
-        self.ctx: int | str = "all"
+        self.ctx: int | None = None
 
     def charge(self, cost: float) -> None:
-        if self.ctx == "all":
-            for p in range(len(self.times)):
-                self.times[p] += cost
+        if self.ctx is None:
+            times = self.times
+            for p in range(len(times)):
+                times[p] += cost
         else:
             self.times[self.ctx] += cost
 
-    def wait_until(self, t: float) -> None:
-        if self.ctx == "all":
-            for p in range(len(self.times)):
-                if self.times[p] < t:
-                    self.times[p] = t
-        else:
-            if self.times[self.ctx] < t:
-                self.times[self.ctx] = t
-
-    def now(self) -> float:
-        if self.ctx == "all":
-            return max(self.times)
-        return self.times[self.ctx]
-
     def finish_time(self) -> float:
         return max(self.times)
+
+
+class StaticArray(SeqArray):
+    """A ``SeqArray`` with the per-array tables of the timing model.
+
+    ``page_owner`` is the header's page table; ``avail[off]`` is when
+    element ``off``'s value is available at its owner (0.0 until
+    written); ``cached[pe][page]`` is since when ``pe`` has held a copy
+    of ``page`` (-1.0: never).
+    """
+
+    __slots__ = ("header", "page_owner", "avail", "cached")
+
+    def __init__(self, dims: tuple[int, ...], page_size: int,
+                 num_pes: int) -> None:
+        super().__init__(dims)
+        header = self.header = ArrayHeader(self.array_id, self.dims,
+                                           page_size, num_pes)
+        self.page_owner = header.page_owner
+        self.avail = [0.0] * header.total_elements
+        self.cached = [[-1.0] * header.pages for _ in range(num_pes)]
 
 
 @dataclass
@@ -117,32 +132,18 @@ class StaticInterpreter(Interpreter):
         clocks = PEClocks(self.num_pes)
         super().__init__(program, clock=clocks, graph=graph)
         self.clocks = clocks
-        # (array_id, offset) -> time available at its owner.
-        self.avail: dict[tuple[int, int], float] = {}
-        # (pe, array_id, page) -> cached since time t.
-        self.page_cache: dict[tuple[int, int, int], float] = {}
-        self.headers: dict[int, ArrayHeader] = {}
+        self.times = clocks.times
         self.remote_misses = 0
         self.remote_rt = _remote_read_rt(self.page_size, self.element_bytes)
-
-    # -- ownership --------------------------------------------------------
-
-    def header_for(self, arr: SeqArray) -> ArrayHeader:
-        header = self.headers.get(arr.array_id)
-        if header is None:
-            header = ArrayHeader(arr.array_id, arr.dims, self.page_size,
-                                 self.num_pes)
-            self.headers[arr.array_id] = header
-        return header
 
     # -- distributed loops --------------------------------------------------
 
     def run_distributed(self, block, descending, arr, fixed, init, limit,
                         run_range) -> None:
-        if not isinstance(arr, SeqArray):
+        if not isinstance(arr, StaticArray):
             raise ExecutionError("range-filter array did not resolve")
         rf = block.range_filter
-        header = self.header_for(arr)
+        header = arr.header
 
         entry = max(self.clocks.times)  # SPMD: everyone enters together
         for p in range(self.num_pes):
@@ -156,68 +157,77 @@ class StaticInterpreter(Interpreter):
                 self.clocks.ctx = p
                 run_range(first, last)
         finally:
-            self.clocks.ctx = "all"
+            self.clocks.ctx = None
             self.in_distributed -= 1
 
     # -- array hooks -------------------------------------------------------
 
-    def on_array_read(self, arr: SeqArray, indices: tuple) -> Any:
-        self.clock.charge(ARRAY_READ)
-        header = self.header_for(arr)
-        offset = arr.offset(indices)
-        avail = self.avail.get((arr.array_id, offset), 0.0)
+    def on_alloc(self, dims: tuple[int, ...]) -> StaticArray:
+        self.clock.charge(T.ALLOC_ARRAY)
+        return StaticArray(dims, self.page_size, self.num_pes)
+
+    def on_array_read(self, arr: StaticArray, indices: tuple) -> Any:
         ctx = self.clocks.ctx
-        if ctx == "all":
+        times = self.times
+        if ctx is None:
+            self.clocks.charge(ARRAY_READ)
+        else:
+            times[ctx] += ARRAY_READ
+        off = arr.offset(indices)
+        avail = arr.avail[off]
+        page = off // self.page_size
+        owner = arr.page_owner[page]
+        cache = self.cache_enabled
+        if ctx is None:
             # Replicated SPMD code: every non-owner PE must fetch the
             # element (round trips happen in parallel across PEs, so each
             # clock pays its own).
-            owner = header.owner_of_offset(offset)
-            page = header.page_of(offset)
             for p in range(self.num_pes):
-                if self.clocks.times[p] < avail:
-                    self.clocks.times[p] = avail
+                if times[p] < avail:
+                    times[p] = avail
                 if p == owner:
                     continue
-                key = (p, arr.array_id, page)
-                if self.cache_enabled and self.page_cache.get(key, -1.0) >= avail:
+                if cache and arr.cached[p][page] >= avail:
                     continue
-                self.clocks.times[p] += self.remote_rt
+                times[p] += self.remote_rt
                 self.remote_misses += 1
-                if self.cache_enabled:
-                    self.page_cache[key] = self.clocks.times[p]
-            return arr.read(indices)
-        owner = header.owner_of_offset(offset)
-        if owner == ctx:
-            self.clocks.wait_until(avail)
+                if cache:
+                    arr.cached[p][page] = times[p]
         else:
-            page = header.page_of(offset)
-            key = (ctx, arr.array_id, page)
-            if self.cache_enabled and key in self.page_cache \
-                    and self.page_cache[key] >= avail:
-                self.clocks.wait_until(avail)
-            else:
-                # Blocking miss: full round trip, no overlap.
-                self.clocks.wait_until(avail)
-                self.clocks.charge(self.remote_rt)
-                self.remote_misses += 1
-                if self.cache_enabled:
-                    self.page_cache[key] = self.clocks.now()
-        return arr.read(indices)
-
-    def on_array_write(self, arr: SeqArray, indices: tuple, value) -> None:
-        self.clock.charge(ARRAY_WRITE)
-        header = self.header_for(arr)
-        offset = arr.write(indices, value)
-        ctx = self.clocks.ctx
-        when = self.clocks.now()
-        if ctx != "all":
-            owner = header.owner_of_offset(offset)
+            t = times[ctx]
+            if t < avail:
+                t = avail
             if owner != ctx:
-                # Forwarded write: sender pays the send overhead; the
-                # value lands after the message latency.
-                self.clocks.charge(REMOTE_WRITE_SEND)
-                when = self.clocks.now() + T.message_latency(32)
-        self.avail[(arr.array_id, offset)] = when
+                cached = arr.cached[ctx]
+                if not (cache and cached[page] >= avail):
+                    # Blocking miss: full round trip, no overlap.
+                    t += self.remote_rt
+                    self.remote_misses += 1
+                    if cache:
+                        cached[page] = t
+            times[ctx] = t
+        value = arr.cells[off]
+        if value is ABSENT:
+            raise MissingWriteError(arr.array_id, indices)
+        return value
+
+    def on_array_write(self, arr: StaticArray, indices: tuple,
+                       value) -> None:
+        ctx = self.clocks.ctx
+        times = self.times
+        if ctx is None:
+            self.clocks.charge(ARRAY_WRITE)
+            arr.avail[arr.write(indices, value)] = max(times)
+            return
+        times[ctx] += ARRAY_WRITE
+        off = arr.write(indices, value)
+        when = times[ctx]
+        if arr.page_owner[off // self.page_size] != ctx:
+            # Forwarded write: sender pays the send overhead; the value
+            # lands after the message latency.
+            when = times[ctx] = when + REMOTE_WRITE_SEND
+            when += REMOTE_WRITE_LATENCY
+        arr.avail[off] = when
 
 
 def run_static(program, args: tuple = (), num_pes: int = 1,

@@ -66,7 +66,6 @@ from repro.common.errors import (ExecutionError, ParallelExecutionError,
 from repro.graph import build_graph, ir
 from repro.lang import ast_nodes as A
 from repro.partitioner import partition
-from repro.runtime.arrays import ArrayHeader
 from repro.baseline.spmd import SpmdInterpreter
 from repro.parallel.faults import FaultInjector, FaultPlan, resolve_plan
 from repro.parallel.manifest import ShmManifest
@@ -289,9 +288,6 @@ class _WorkerInterpreter(SpmdInterpreter):
 
     def write_shared(self, arr: ShmArray, indices: tuple, value: Any) -> None:
         arr.write(indices, value)
-
-    def header_of(self, arr: ShmArray) -> ArrayHeader:
-        return ArrayHeader(1, arr.dims, self.page_size, self.num_workers)
 
     def cleanup(self) -> None:
         for arr in self.shared_arrays:

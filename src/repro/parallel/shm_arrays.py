@@ -45,6 +45,7 @@ import _posixshmem
 from repro.common.errors import (BoundsViolation, DeferredReadTimeout,
                                  ExecutionError, SingleAssignmentViolation,
                                  WorkerSuperseded)
+from repro.runtime.arrays import ArrayHeader, offset_fn
 
 FLAG_ABSENT = 0
 FLAG_FLOAT = 1
@@ -116,6 +117,8 @@ class ShmArray:
                  page_size: int = 32, epoch_slots: int = 1,
                  slot: int = 0, generation: int = 0,
                  replay: bool = False, exist_ok: bool = False) -> None:
+        if any((not isinstance(d, int)) or d < 1 for d in dims):
+            raise ExecutionError(f"bad array dimensions {dims!r}")
         self.dims = dims
         self.page_size = page_size
         if epoch_slots < 1:
@@ -124,14 +127,13 @@ class ShmArray:
         self.slot = slot
         self.generation = generation
         self.replay = replay
-        total = 1
-        for d in dims:
-            total *= d
-        self.total = total
-        strides = [1] * len(dims)
-        for k in range(len(dims) - 2, -1, -1):
-            strides[k] = strides[k + 1] * dims[k + 1]
-        self.strides = tuple(strides)
+        # One geometry per attachment: the header (``epoch_slots``
+        # plays the ``num_pes`` role, so its page table names the
+        # worker slot whose segment holds an element) and its
+        # bounds-checked offset map.
+        self.header = ArrayHeader(1, tuple(dims), page_size, epoch_slots)
+        self.offset = offset_fn(name, self.header.dims, self.header.strides)
+        total = self.total = self.header.total_elements
         self._epoch_bytes = 8 * epoch_slots
         size = self._epoch_bytes + total * 9  # epochs + flag + value bytes
 
@@ -203,36 +205,6 @@ class ShmArray:
         if current > self.generation:
             raise WorkerSuperseded(self.slot, self.generation, current)
 
-    # -- geometry --------------------------------------------------------
-
-    def offset(self, indices: tuple[int, ...]) -> int:
-        if len(indices) != len(self.dims):
-            raise BoundsViolation(self.name, indices, self.dims)
-        off = 0
-        for idx, dim, stride in zip(indices, self.dims, self.strides):
-            if not 1 <= idx <= dim:
-                raise BoundsViolation(self.name, indices, self.dims)
-            off += (idx - 1) * stride
-        return off
-
-    def owner_of_offset(self, off: int) -> int:
-        """Worker slot whose shared-memory segment holds ``off``.
-
-        Uses the same sequential page-dealing math as the simulator's
-        Array Manager (``epoch_slots`` plays the ``num_pes`` role).  For
-        outer-dimension Range Filters the segment owner of a row start
-        is exactly the worker responsible for writing the row; for other
-        elements it is the best available hint of who the writer is.
-        """
-        from repro.runtime.arrays import num_pages, segment_of_page
-
-        pages = num_pages(self.total, self.page_size)
-        try:
-            return segment_of_page(off // self.page_size, pages,
-                                   self.epoch_slots)
-        except Exception:  # more slots than pages: fall back to slot 0
-            return 0
-
     # -- element access --------------------------------------------------
 
     def write(self, indices: tuple[int, ...], value) -> None:
@@ -289,6 +261,7 @@ class ShmArray:
             self.deferred_reads += 1
             if on_spin is not None:
                 on_spin()
+            owner = self.header.owner_of_offset(off)
             spin_start = time.monotonic()
             deadline = spin_start + timeout_s
             next_stall = (spin_start + spin_ceiling_s
@@ -308,13 +281,13 @@ class ShmArray:
                             on_stall({"array": self.name,
                                       "indices": list(indices),
                                       "offset": off,
-                                      "owner": self.owner_of_offset(off),
+                                      "owner": owner,
                                       "waited_s": now - spin_start})
                         next_stall = now + spin_ceiling_s
                     if now > deadline:
                         raise DeferredReadTimeout(
-                            self.name, indices, off,
-                            self.owner_of_offset(off), now - spin_start)
+                            self.name, indices, off, owner,
+                            now - spin_start)
                     time.sleep(pause)
                     pause = min(pause * 2, 0.001)
             finally:

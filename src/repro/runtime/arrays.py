@@ -13,12 +13,20 @@ iterations are local (Section 4.2.2).
 Index convention: IdLite arrays are declared ``matrix(m, n)`` and indexed
 ``A[1..m, 1..n]`` following the paper's example program; lower bounds are 1.
 Flat offsets are 0-based.
+
+This is the one array geometry every substrate shares: :func:`offset_fn`
+builds the bounds-checked subscript-to-offset map each array's storage
+calls (the sequential and static interpreters' ``SeqArray``, the
+parallel backend's ``ShmArray``, the dist backend's ``DistArray`` and
+the simulator's headers), and :attr:`ArrayHeader.page_owner` is the
+page table ownership is looked up in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from repro.common.errors import BoundsViolation, PartitionError
 
@@ -42,6 +50,42 @@ def row_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
 def num_pages(total_elements: int, page_size: int) -> int:
     """Number of pages covering ``total_elements`` (last page may be short)."""
     return (total_elements + page_size - 1) // page_size
+
+
+def offset_fn(label, dims: tuple[int, ...],
+              strides: tuple[int, ...]) -> Callable[[tuple], int]:
+    """Bounds-checked ``indices -> flat offset`` for one array shape.
+
+    A subscript must be a plain ``int`` (``bool`` is rejected) in
+    ``1..dim``, and there must be one per dimension; anything else
+    raises :class:`BoundsViolation` naming ``label``.  The common 2-D
+    integer case is unrolled; every other shape, and every suspect
+    subscript, takes the general path.
+    """
+
+    def general(indices):
+        if len(indices) != len(dims):
+            raise BoundsViolation(label, indices, dims)
+        off = 0
+        for idx, dim, stride in zip(indices, dims, strides):
+            if (not isinstance(idx, int) or isinstance(idx, bool)
+                    or idx < 1 or idx > dim):
+                raise BoundsViolation(label, indices, dims)
+            off += (idx - 1) * stride
+        return off
+
+    if len(dims) == 2:
+        d0, d1 = dims
+
+        def offset(indices):
+            if len(indices) == 2:
+                i, j = indices
+                if (i.__class__ is int and j.__class__ is int
+                        and 0 < i <= d0 and 0 < j <= d1):
+                    return (i - 1) * d1 + j - 1
+            return general(indices)
+        return offset
+    return general
 
 
 def segment_of_page(page: int, pages: int, pes: int) -> int:
@@ -111,9 +155,8 @@ class ArrayHeader:
     #
     # All geometry is a pure function of the frozen fields, so it is
     # computed once and cached (cached_property stores into __dict__,
-    # which bypasses the frozen __setattr__).  The simulator hits
-    # offset()/segment_bounds() on every array access — recomputing
-    # strides and page counts per element dominated its profile.
+    # which bypasses the frozen __setattr__).  Every substrate hits
+    # offset() and owner_of_offset() on every array access.
 
     @cached_property
     def total_elements(self) -> int:
@@ -127,18 +170,12 @@ class ArrayHeader:
     def strides(self) -> tuple[int, ...]:
         return row_strides(self.dims)
 
-    def offset(self, indices: tuple[int, ...]) -> int:
-        """Row-major flat offset of a 1-based index tuple (bounds-checked)."""
-        dims = self.dims
-        if len(indices) != len(dims):
-            raise BoundsViolation(self.array_id, indices, dims)
-        off = 0
-        for idx, dim, stride in zip(indices, dims, self.strides):
-            if (not isinstance(idx, int) or isinstance(idx, bool)
-                    or idx < 1 or idx > dim):
-                raise BoundsViolation(self.array_id, indices, dims)
-            off += (idx - 1) * stride
-        return off
+    @cached_property
+    def offset(self) -> Callable[[tuple], int]:
+        """Row-major flat offset of a 1-based index tuple: the
+        bounds-checked :func:`offset_fn` of this shape, so
+        ``header.offset(indices)`` is one closure call."""
+        return offset_fn(self.array_id, self.dims, self.strides)
 
     def indices_of(self, offset: int) -> tuple[int, ...]:
         """Inverse of :meth:`offset` (1-based indices from a flat offset)."""
@@ -155,9 +192,19 @@ class ArrayHeader:
     def page_of(self, offset: int) -> int:
         return offset // self.page_size
 
+    @cached_property
+    def page_owner(self) -> tuple[int, ...]:
+        """Owning PE of every page: the header's page table, dealt once
+        (PEs past the last page own none)."""
+        owners: list[int] = []
+        for pe in range(min(self.num_pes, self.pages)):
+            lo, hi = segment_page_range(pe, self.pages, self.num_pes)
+            owners.extend([pe] * (hi - lo))
+        return tuple(owners)
+
     def owner_of_offset(self, offset: int) -> int:
-        """PE owning the element at ``offset``."""
-        return segment_of_page(self.page_of(offset), self.pages, self.num_pes)
+        """PE owning the element at ``offset`` (a valid flat offset)."""
+        return self.page_owner[offset // self.page_size]
 
     def owner_of(self, indices: tuple[int, ...]) -> int:
         return self.owner_of_offset(self.offset(indices))

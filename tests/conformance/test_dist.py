@@ -25,7 +25,7 @@ from repro.api import compile_source
 from repro.backend import classify_error, get_backend, render_error
 from repro.common.config import DistConfig
 from tests.conformance.matrix import APPS, DIST_NODES, DIST_UNSUPPORTED
-from tests.conformance.test_error_taxonomy import CASES
+from tests.conformance.test_error_taxonomy import CASES, code_of
 
 pytestmark = pytest.mark.conformance
 
@@ -86,12 +86,13 @@ FAST_DIST = DistConfig(nodes=2, recovery=False, read_timeout_s=2.0,
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("code", sorted(CASES))
-def test_same_taxonomy_code_as_other_backends(code):
-    program = compile_source(CASES[code])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_same_taxonomy_code_as_other_backends(case):
+    program = compile_source(CASES[case])
     with pytest.raises(Exception) as excinfo:
         get_backend("dist").run(program, (6,), config=FAST_DIST)
     exc = excinfo.value
+    code = code_of(case)
     assert classify_error(exc) == code
 
     rendered = render_error(exc)

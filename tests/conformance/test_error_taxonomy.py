@@ -11,7 +11,9 @@ Three canonical failures cover the taxonomy's program-fault rows:
   machine idles with deferred reads pending; the eager sequential
   interpreter raises MissingWriteError at the read; the parallel
   backend reaches a stall quorum).
-* out-of-bounds write -> ``bounds`` on every substrate.
+* out-of-bounds write -> ``bounds`` on every substrate, and so is a
+  subscript that is not a plain integer: a float, or a ``bool`` (every
+  substrate shares one offset builder, which rejects both).
 
 Every rendering must be the one-line ``error[Type/code]: ...`` form the
 CLI prints — no tracebacks, no multi-line spew.
@@ -49,7 +51,33 @@ CASES = {
             return A[1];
         }
     """,
+    "bounds-float": """
+        function main(n) {
+            A = matrix(n, n);
+            for i = 1 to n {
+                for j = 1 to n { A[i, j] = i * 1.0 + j; }
+            }
+            x = 1.5;
+            return A[x, 1];
+        }
+    """,
+    "bounds-bool": """
+        function main(n) {
+            A = matrix(n, n);
+            for i = 1 to n {
+                for j = 1 to n { A[i, j] = i * 1.0 + j; }
+            }
+            return A[n > 0, 1];
+        }
+    """,
 }
+
+
+def code_of(case: str) -> str:
+    """The taxonomy code ``case`` must produce (``bounds-float`` is a
+    ``bounds`` variant)."""
+    return "bounds" if case.startswith("bounds") else case
+
 
 BACKENDS = ("sim", "seq", "static", "parallel")
 
@@ -66,13 +94,14 @@ def broken():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("code", sorted(CASES))
-def test_same_code_on_every_backend(code, backend, broken):
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_same_code_on_every_backend(case, backend, broken):
     kwargs = ({"config": FAST_PARALLEL} if backend == "parallel"
               else {"parallelism": 2})
     with pytest.raises(Exception) as excinfo:
-        get_backend(backend).run(broken[code], (6,), **kwargs)
+        get_backend(backend).run(broken[case], (6,), **kwargs)
     exc = excinfo.value
+    code = code_of(case)
     assert classify_error(exc) == code
 
     rendered = render_error(exc)
