@@ -753,12 +753,9 @@ class NodeRuntime:
             self._replay_cached(rebound)
 
     def _replay_cached(self, rebound: set[int]) -> None:
-        # Executors fill these dicts concurrently.  dict.copy() takes its
-        # snapshot without running Python code, so no thread switch can
-        # land inside it.  list(d.items()) allocates a tuple per entry;
-        # a garbage collection one of them triggers can run finalizers,
-        # and so switch threads mid-iteration ("dictionary changed size
-        # during iteration", which killed the node's message loop).
+        # Executors fill these dicts concurrently.  dict.copy() runs no
+        # Python code, so no thread switch lands inside it; a collection
+        # triggered inside list(d.items()) can switch threads mid-way.
         for a, cache in self.caches.copy().items():
             header = self.headers.get(a)
             if header is None:

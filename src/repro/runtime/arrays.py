@@ -14,12 +14,9 @@ Index convention: IdLite arrays are declared ``matrix(m, n)`` and indexed
 ``A[1..m, 1..n]`` following the paper's example program; lower bounds are 1.
 Flat offsets are 0-based.
 
-This is the one array geometry every substrate shares: :func:`offset_fn`
-builds the bounds-checked subscript-to-offset map each array's storage
-calls (the sequential and static interpreters' ``SeqArray``, the
-parallel backend's ``ShmArray``, the dist backend's ``DistArray`` and
-the simulator's headers), and :attr:`ArrayHeader.page_owner` is the
-page table ownership is looked up in.
+Every substrate shares this geometry: :func:`offset_fn` is the one
+bounds-checked subscript-to-offset map, :attr:`ArrayHeader.page_owner`
+the one ownership table.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ write raises in the writer.
 
 import asyncio
 import concurrent.futures as cf
+import gc
 import sys
 import threading
 import time
@@ -208,3 +209,46 @@ def test_two_writers_and_a_reader_lose_no_wakeup(runtime):
         assert len(runtime.stores[0].values) == n
         assert runtime.stores[0].deferred == {}
     assert runtime.endpoint.sent == []
+
+
+def test_cache_replay_survives_concurrent_cache_fills(runtime):
+    # A takeover's presence-bit replay walks the node caches on the loop
+    # thread while executors keep filling them.  A gc callback (Python
+    # code at every collection) and a gen-0 threshold of 1 let a thread
+    # switch land inside any allocation of that walk.
+    n = 16384
+    runtime.owners = [NODE, NODE]
+    runtime.live = {NODE}
+    arr = DistArray(runtime, 0, (n,))
+    stop = threading.Event()
+
+    def filler() -> None:
+        for off in range(1, n, 2):
+            if stop.is_set():
+                return
+            arr.cache[off] = float(off)
+
+    for off in range(0, n, 2):
+        arr.cache[off] = float(off)
+    thresholds = gc.get_threshold()
+    interval = sys.getswitchinterval()
+    callback = lambda phase, info: None  # noqa: E731
+    gc.callbacks.append(callback)
+    gc.set_threshold(1)
+    sys.setswitchinterval(1e-6)
+    try:
+        with cf.ThreadPoolExecutor(1) as pool:
+            filled = pool.submit(filler)
+            try:
+                while not filled.done():
+                    runtime._replay_cached({0, 1})
+            finally:
+                stop.set()
+            filled.result(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+        gc.set_threshold(*thresholds)
+        gc.callbacks.remove(callback)
+    runtime._replay_cached({0, 1})
+    with runtime._lock:
+        assert len(runtime.stores[0].values) == n
