@@ -167,21 +167,18 @@ class StaticInterpreter(Interpreter):
         return StaticArray(dims, self.page_size, self.num_pes)
 
     def on_array_read(self, arr: StaticArray, indices: tuple) -> Any:
-        ctx = self.clocks.ctx
-        times = self.times
-        if ctx is None:
-            self.clocks.charge(ARRAY_READ)
-        else:
-            times[ctx] += ARRAY_READ
         off = arr.offset(indices)
         avail = arr.avail[off]
         page = off // self.page_size
         owner = arr.page_owner[page]
         cache = self.cache_enabled
+        times = self.times
+        ctx = self.clocks.ctx
         if ctx is None:
             # Replicated SPMD code: every non-owner PE must fetch the
             # element (round trips happen in parallel across PEs, so each
             # clock pays its own).
+            self.clocks.charge(ARRAY_READ)
             for p in range(self.num_pes):
                 if times[p] < avail:
                     times[p] = avail
@@ -194,7 +191,7 @@ class StaticInterpreter(Interpreter):
                 if cache:
                     arr.cached[p][page] = times[p]
         else:
-            t = times[ctx]
+            t = times[ctx] + ARRAY_READ
             if t < avail:
                 t = avail
             if owner != ctx:
