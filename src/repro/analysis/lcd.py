@@ -147,8 +147,10 @@ class LcdAnalysis:
     # -- access collection -------------------------------------------------
 
     def collect_accesses(self, loop: ir.CodeBlock) -> list[Access]:
-        """All array reads/writes in ``loop``'s static subtree."""
-        out: list[Access] = []
+        """The array reads/writes in ``loop``'s static subtree that touch
+        an array the subtree writes: only those can form an LCD, so only
+        their subscripts get affine forms."""
+        found: list[tuple[tuple, ir.CodeBlock, list[int], bool]] = []
 
         def visit_block(block: ir.CodeBlock) -> None:
             if block.kind == ir.WHILE:
@@ -160,17 +162,11 @@ class LcdAnalysis:
                 if isinstance(item, ir.ComputeItem):
                     d = block.defs[item.vid]
                     if isinstance(d, ir.ReadDef):
-                        out.append(Access(
-                            self.trace_array_key(block, d.array),
-                            [self.affine_of(block, s, loop) for s in d.indices],
-                            is_write=False, block_id=block.block_id,
-                        ))
+                        found.append((self.trace_array_key(block, d.array),
+                                      block, d.indices, False))
                 elif isinstance(item, ir.WriteItem):
-                    out.append(Access(
-                        self.trace_array_key(block, item.array),
-                        [self.affine_of(block, s, loop) for s in item.indices],
-                        is_write=True, block_id=block.block_id,
-                    ))
+                    found.append((self.trace_array_key(block, item.array),
+                                  block, item.indices, True))
                 elif isinstance(item, ir.InvokeItem):
                     visit_block(self.graph.blocks[item.block])
                 elif isinstance(item, ir.IfItem):
@@ -178,7 +174,12 @@ class LcdAnalysis:
                     visit_region(block, item.else_region)
 
         visit_block(loop)
-        return out
+        written = {key for key, _, _, is_write in found if is_write}
+        return [
+            Access(key, [self.affine_of(block, s, loop) for s in indices],
+                   is_write, block.block_id)
+            for key, block, indices, is_write in found if key in written
+        ]
 
     # -- the verdict -------------------------------------------------------
 
@@ -206,10 +207,7 @@ class LcdAnalysis:
                 writes_by_array.setdefault(acc.array_key, []).append(acc)
 
         for acc in accesses:
-            writes = writes_by_array.get(acc.array_key)
-            if not writes:
-                continue
-            for w in writes:
+            for w in writes_by_array[acc.array_key]:
                 if w is acc:
                     continue
                 if len(w.subscripts) != len(acc.subscripts):

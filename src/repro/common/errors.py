@@ -7,32 +7,21 @@ can catch at the granularity they care about.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 
 class PodsError(Exception):
     """Base class for every error raised by the repro package."""
 
 
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """A position in an IdLite source file (1-based line/column)."""
 
-    __slots__ = ("line", "column")
-
-    def __init__(self, line: int, column: int) -> None:
-        self.line = line
-        self.column = column
+    line: int
+    column: int
 
     def __repr__(self) -> str:
         return f"{self.line}:{self.column}"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SourceLocation)
-            and other.line == self.line
-            and other.column == self.column
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.line, self.column))
 
 
 class LanguageError(PodsError):

@@ -1,28 +1,45 @@
-"""Tokenizer for IdLite source text."""
+"""Tokenizer for IdLite source text.
+
+One compiled master regex scans the source with ``finditer``.  In a
+Unicode pattern ``\\w`` is exactly ``isalnum()`` or ``_``, but ``\\d`` is
+only ``isdecimal()``, so the rare lexemes it cannot decide (a non-ASCII
+name start, a number touching non-ASCII text such as ``1²``) are decided
+by ``str`` predicates and :func:`_scan_number`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator
+import re
+from typing import Any, NamedTuple
 
 from repro.common.errors import LexError, SourceLocation
 
-KEYWORDS = {
-    "function", "for", "to", "downto", "while", "if", "then", "else",
-    "next", "return", "and", "or", "not", "true", "false",
-}
+# Reserved word -> (kind, value); true and false are numbers.
+_WORDS: dict[str, tuple[str, Any]] = {w: (w, w) for w in (
+    "function for to downto while if then else next return and or not".split())}
+_WORDS.update(true=("num", True), false=("num", False))
 
-# Longest-match-first punctuation/operators.
-SYMBOLS = [
-    "<=", ">=", "==", "!=",
-    "(", ")", "{", "}", "[", "]",
-    ",", ";", "=", "<", ">",
-    "+", "-", "*", "/", "%", "^",
-]
+# Each match is one lexeme with the blanks before it.  ``bad`` excludes
+# blanks, so trailing blanks match nothing.  The branches start on
+# disjoint characters except ``comment`` before ``sym`` ('//' before '/')
+# and ``num``/``uword`` before ``bad``; the rest are in frequency order.
+_MASTER = re.compile(r"""[ \t\r]*(?:
+    (?P<comment>(?:\#|//)[^\n]*)
+  | (?P<sym><=|>=|==|!=|[-(){}\[\],;=<>+*/%^])
+  | (?P<word>[A-Za-z_]\w*)
+  | (?P<nl>\n)
+  | (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+    (?P<numtail>(?:[eE][+-]?)?[^\x00-\x7f])?
+  | (?P<uword>[^\W\d\x00-\x7f]\w*)
+  | (?P<bad>[^ \t\r])
+)""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Tok:
+# Builds a Tok or SourceLocation without NamedTuple's Python-level __new__.
+_new = tuple.__new__
+
+
+class Tok(NamedTuple):
     """A lexical token: kind is 'num', 'name', a keyword, or a symbol."""
 
     kind: str
@@ -33,97 +50,84 @@ class Tok:
         return f"Tok({self.kind!r}, {self.value!r} @{self.loc})"
 
 
+def _scan_number(source: str, i: int) -> tuple[int, bool]:
+    """End of the number starting at ``i`` under the ``isdigit()`` rules,
+    and whether it has a fraction or an exponent."""
+    seen_dot = seen_exp = False
+    while i < len(source):
+        c = source[i]
+        if c.isdigit():
+            i += 1
+        elif c == "." and not seen_dot and not seen_exp:
+            seen_dot = True
+            i += 1
+        elif c in "eE" and not seen_exp and (
+                source[i + 1:i + 2].isdigit()
+                or source[i + 1:i + 2] in ("+", "-") and source[i + 2:i + 3].isdigit()):
+            seen_exp = True
+            i += 2 if source[i + 1] in "+-" else 1
+        else:
+            break
+    return i, seen_dot or seen_exp
+
+
 def tokenize(source: str) -> list[Tok]:
     """Convert source text into tokens; raises LexError on bad input."""
     tokens: list[Tok] = []
+    append = tokens.append
+    words = _WORDS.get
     line = 1
-    col = 1
-    i = 0
-    n = len(source)
-
-    def loc() -> SourceLocation:
-        return SourceLocation(line, col)
-
-    while i < n:
-        ch = source[i]
-
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-
-        # Comments: '#' or '//' to end of line.
-        if ch == "#" or source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start = i
-            start_loc = loc()
-            seen_dot = False
-            seen_exp = False
-            while i < n:
-                c = source[i]
-                if c.isdigit():
-                    i += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    i += 1
-                elif c in "eE" and not seen_exp and i + 1 < n and (
-                    source[i + 1].isdigit()
-                    or (source[i + 1] in "+-" and i + 2 < n and source[i + 2].isdigit())
-                ):
-                    seen_exp = True
-                    i += 1
-                    if source[i] in "+-":
-                        i += 1
+    last_nl = -1  # index of the newline before this line
+    pos = 0
+    m = None
+    while True:
+        for m in _MASTER.finditer(source, pos):
+            group = m.lastgroup
+            if group == "sym":
+                kind = value = m[group]
+            elif group == "word":
+                value = m[group]
+                kind = words(value)
+                if kind is None:
+                    kind = "name"
                 else:
-                    break
-            text = source[start:i]
-            col += i - start
-            try:
-                value: Any = float(text) if (seen_dot or seen_exp) else int(text)
-            except ValueError:
-                raise LexError(f"malformed number {text!r}", start_loc) from None
-            tokens.append(Tok("num", value, start_loc))
-            continue
-
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_loc = loc()
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            word = source[start:i]
-            col += i - start
-            if word == "true":
-                tokens.append(Tok("num", True, start_loc))
-            elif word == "false":
-                tokens.append(Tok("num", False, start_loc))
-            elif word in KEYWORDS:
-                tokens.append(Tok(word, word, start_loc))
+                    kind, value = kind
+            elif group == "nl":
+                line += 1
+                last_nl = m.start(group)
+                continue
+            elif group == "num":
+                text = m[group]
+                kind = "num"
+                if "." in text or "e" in text or "E" in text:
+                    value = float(text)
+                else:
+                    value = int(text)
+            elif group == "comment":
+                continue
             else:
-                tokens.append(Tok("name", word, start_loc))
-            continue
-
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Tok(sym, sym, loc()))
-                i += len(sym)
-                col += len(sym)
-                break
+                break  # uword, numtail or bad: decided below
+            loc = _new(SourceLocation, (line, m.start(group) - last_nl))
+            append(_new(Tok, (kind, value, loc)))
         else:
-            raise LexError(f"unexpected character {ch!r}", loc())
+            break
+        start = m.start("num" if group == "numtail" else group)
+        ch = source[start]
+        loc = SourceLocation(line, start - last_nl)
+        if ch.isalpha():
+            pos = m.end()
+            append(Tok("name", m[group], loc))
+        elif ch.isdigit() or ch == "." and source[start + 1:start + 2].isdigit():
+            pos, is_float = _scan_number(source, start)
+            text = source[start:pos]
+            try:
+                append(Tok("num", float(text) if is_float else int(text), loc))
+            except ValueError:
+                raise LexError(f"malformed number {text!r}", loc) from None
+        else:
+            raise LexError(f"unexpected character {ch!r}", loc)
 
-    tokens.append(Tok("eof", None, loc()))
+    # A trailing comment leaves the end-of-file column at its start.
+    end = m.start("comment") if m and m.lastgroup == "comment" else len(source)
+    append(Tok("eof", None, SourceLocation(line, end - last_nl)))
     return tokens
-
-
-def token_stream(source: str) -> Iterator[Tok]:
-    """Generator form of :func:`tokenize` (convenience for tests)."""
-    yield from tokenize(source)

@@ -23,6 +23,8 @@ Grammar (EBNF)::
     power      := atom [ "^" unary ]
     atom       := NUM | NAME | NAME "(" args ")" | NAME "[" exprs "]"
                 | "(" expr ")"
+
+``or_expr`` to ``multiplic`` is one precedence-climbing loop, ``parse_binary``.
 """
 
 from __future__ import annotations
@@ -31,9 +33,17 @@ from repro.common.errors import ParseError
 from repro.lang import ast_nodes as A
 from repro.lang.lexer import Tok, tokenize
 
-_CMP_OPS = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge", "==": "eq", "!=": "ne"}
-_ADD_OPS = {"+": "add", "-": "sub"}
-_MUL_OPS = {"*": "mul", "/": "div", "%": "mod"}
+# Binary operator token -> (precedence level, ISA function).  Prefix
+# ``not`` sits at level 2; comparisons (level 3) do not chain.
+_BINARY = {
+    "or": (0, "or"), "and": (1, "and"),
+    "<": (3, "lt"), "<=": (3, "le"), ">": (3, "gt"), ">=": (3, "ge"),
+    "==": (3, "eq"), "!=": (3, "ne"),
+    "+": (4, "add"), "-": (4, "sub"),
+    "*": (5, "mul"), "/": (5, "div"), "%": (5, "mod"),
+}
+_NOT_LEVEL = 2
+_CMP_LEVEL = 3
 
 
 class _Parser:
@@ -43,36 +53,33 @@ class _Parser:
 
     # -- primitives ----------------------------------------------------
 
-    @property
-    def cur(self) -> Tok:
-        return self.tokens[self.pos]
-
     def advance(self) -> Tok:
-        tok = self.cur
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def check(self, kind: str) -> bool:
-        return self.cur.kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def accept(self, kind: str) -> Tok | None:
-        if self.check(kind):
+        if self.tokens[self.pos].kind == kind:
             return self.advance()
         return None
 
     def expect(self, kind: str, what: str = "") -> Tok:
-        if not self.check(kind):
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
             hint = f" while parsing {what}" if what else ""
             raise ParseError(
-                f"expected {kind!r}, found {self.cur.kind!r}{hint}", self.cur.loc
+                f"expected {kind!r}, found {tok.kind!r}{hint}", tok.loc
             )
         return self.advance()
 
     # -- grammar -------------------------------------------------------
 
     def parse_program(self) -> A.Program:
-        loc = self.cur.loc
+        loc = self.tokens[self.pos].loc
         functions: dict[str, A.Function] = {}
         while not self.check("eof"):
             fn = self.parse_function()
@@ -103,13 +110,13 @@ class _Parser:
         stmts: list[A.Stmt] = []
         while not self.check("}"):
             if self.check("eof"):
-                raise ParseError("unterminated block", self.cur.loc)
+                raise ParseError("unterminated block", self.tokens[self.pos].loc)
             stmts.append(self.parse_statement())
         self.expect("}")
         return stmts
 
     def parse_statement(self) -> A.Stmt:
-        tok = self.cur
+        tok = self.tokens[self.pos]
 
         if tok.kind == "next":
             self.advance()
@@ -135,7 +142,7 @@ class _Parser:
             elif self.accept("downto"):
                 descending = True
             else:
-                raise ParseError("expected 'to' or 'downto'", self.cur.loc)
+                raise ParseError("expected 'to' or 'downto'", self.tokens[self.pos].loc)
             limit = self.parse_expr()
             body = self.parse_block()
             return A.For(tok.loc, var, init, limit, descending, body)
@@ -182,7 +189,7 @@ class _Parser:
     # -- expressions ---------------------------------------------------
 
     def parse_expr(self) -> A.Expr:
-        if self.check("if"):
+        if self.tokens[self.pos].kind == "if":
             loc = self.advance().loc
             cond = self.parse_expr()
             self.expect("then", "conditional expression")
@@ -190,50 +197,35 @@ class _Parser:
             self.expect("else", "conditional expression")
             other = self.parse_expr()
             return A.IfExp(loc, cond, then, other)
-        return self.parse_or()
+        return self.parse_binary(0)
 
-    def parse_or(self) -> A.Expr:
-        left = self.parse_and()
-        while self.check("or"):
-            loc = self.advance().loc
-            left = A.BinOp(loc, "or", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> A.Expr:
-        left = self.parse_not()
-        while self.check("and"):
-            loc = self.advance().loc
-            left = A.BinOp(loc, "and", left, self.parse_not())
-        return left
-
-    def parse_not(self) -> A.Expr:
-        if self.check("not"):
-            loc = self.advance().loc
-            return A.UnOp(loc, "not", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> A.Expr:
-        left = self.parse_additive()
-        if self.cur.kind in _CMP_OPS:
-            tok = self.advance()
-            right = self.parse_additive()
-            return A.BinOp(tok.loc, _CMP_OPS[tok.kind], left, right)
-        return left
-
-    def parse_additive(self) -> A.Expr:
-        left = self.parse_multiplicative()
-        while self.cur.kind in _ADD_OPS:
-            tok = self.advance()
-            left = A.BinOp(tok.loc, _ADD_OPS[tok.kind], left,
-                           self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> A.Expr:
-        left = self.parse_unary()
-        while self.cur.kind in _MUL_OPS:
-            tok = self.advance()
-            left = A.BinOp(tok.loc, _MUL_OPS[tok.kind], left, self.parse_unary())
-        return left
+    def parse_binary(self, level: int) -> A.Expr:
+        """Operators of precedence ``level`` and above, left associative;
+        each right operand is parsed one level higher.  A comparison is
+        taken only while no operator of its level or lower (prefix
+        ``not`` included) has been applied here, so comparisons do not
+        chain."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok.kind == "not" and level <= _NOT_LEVEL:
+            self.pos += 1
+            left: A.Expr = A.UnOp(tok.loc, "not", self.parse_binary(_NOT_LEVEL))
+            compare = False
+        else:
+            left = self.parse_unary()
+            compare = True
+        while True:
+            tok = tokens[self.pos]
+            entry = _BINARY.get(tok.kind)
+            if entry is None:
+                return left
+            op_level, op = entry
+            if op_level < level or (op_level == _CMP_LEVEL and not compare):
+                return left
+            self.pos += 1
+            left = A.BinOp(tok.loc, op, left, self.parse_binary(op_level + 1))
+            if op_level <= _CMP_LEVEL:
+                compare = False
 
     def parse_unary(self) -> A.Expr:
         if self.check("-"):
@@ -253,7 +245,7 @@ class _Parser:
         return base
 
     def parse_atom(self) -> A.Expr:
-        tok = self.cur
+        tok = self.tokens[self.pos]
 
         if tok.kind == "num":
             self.advance()

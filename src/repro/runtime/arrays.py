@@ -121,11 +121,12 @@ def segment_page_range(pe: int, pages: int, pes: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ArrayHeader:
-    """Per-PE bookkeeping for one distributed I-structure array.
+    """Geometry and page table of one distributed I-structure array.
 
-    Built by the Array Manager at allocation time on every PE (the
-    distributing allocate broadcasts the request so all PEs agree on the
-    array ID and layout, Section 4.1).
+    Built at allocation time (the distributing allocate broadcasts the
+    request so all PEs agree on the array ID and layout, Section 4.1).
+    It is immutable, so the simulator builds one per array and every
+    PE's header table points to it.
 
     Attributes:
         array_id: Machine-wide identifier.

@@ -135,6 +135,8 @@ class Machine:
         self._batch: deque = deque()
         self._next_frame_uid = ROOT_UID + 1
         self._next_array_id = 1
+        # One immutable header per array; every PE's table points to it.
+        self._headers: dict[int, ArrayHeader] = {}
         self._code = {bid: t.code for bid, t in program.templates.items()}
         self._inputs = {bid: t.inputs for bid, t in program.templates.items()}
         self._is_function = {bid: t.kind == "function"
@@ -1306,8 +1308,10 @@ class Machine:
     def _install_header(self, pe: PE, aid: int, dims: tuple) -> None:
         if pe.halted or aid in pe.headers:
             return
-        header = ArrayHeader(aid, tuple(dims), self.mc.page_size,
-                             self.mc.num_pes)
+        header = self._headers.get(aid)
+        if header is None:
+            header = self._headers[aid] = ArrayHeader(
+                aid, tuple(dims), self.mc.page_size, self.mc.num_pes)
         pe.headers[aid] = header
         lo, hi = header.segment_bounds(pe.pid)
         seg = pe.segments[aid] = IStructureSegment(aid, lo, hi)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.common.errors import LexError
+from repro.common.errors import LexError, ParseError
 from repro.lang.lexer import tokenize
+from repro.lang.parser import parse
 
 
 def kinds(src):
@@ -80,6 +81,53 @@ class TestErrors:
         with pytest.raises(LexError) as exc:
             tokenize("ab\n  @")
         assert exc.value.location.line == 2
+
+
+class TestLexicalEdgeCases:
+    """The rules ``docs/language.md`` ("Lexical rules") documents."""
+
+    def test_fraction_may_be_empty_before_exponent(self):
+        [value] = values("1.e5")
+        assert value == 100000.0 and isinstance(value, float)
+
+    def test_leading_dot_number(self):
+        assert values(".5") == [0.5]
+
+    def test_exponent_needs_digits(self):
+        toks = tokenize("1e")
+        assert [(t.kind, t.value) for t in toks][:-1] == [("num", 1), ("name", "e")]
+        assert isinstance(toks[0].value, int)
+
+    def test_second_dot_starts_a_new_number(self):
+        toks = tokenize("1.2.3")
+        assert values("1.2.3") == [1.2, 0.3]
+        assert toks[1].loc.column == 4
+
+    def test_double_slash_is_a_comment_single_slash_divides(self):
+        assert kinds("a // b") == ["name", "eof"]
+        assert kinds("a / b") == ["name", "/", "name", "eof"]
+
+    def test_non_decimal_digit_is_a_malformed_number(self):
+        with pytest.raises(LexError) as exc:
+            tokenize("x = ²;")
+        assert str(exc.value) == "1:5: malformed number '²'"
+
+    def test_unicode_letter_is_a_name(self):
+        toks = tokenize("é = 1")
+        assert (toks[0].kind, toks[0].value) == ("name", "é")
+
+    def test_nbsp_is_not_whitespace(self):
+        with pytest.raises(LexError) as exc:
+            tokenize("a\xa0b")
+        assert str(exc.value) == "1:2: unexpected character '\\xa0'"
+
+    def test_eof_after_trailing_comment_sits_at_comment_start(self):
+        toks = tokenize("x # note")
+        assert toks[-1].kind == "eof"
+        assert (toks[-1].loc.line, toks[-1].loc.column) == (1, 3)
+        with pytest.raises(ParseError) as exc:
+            parse("function main() { return 1; # no closing brace")
+        assert str(exc.value) == "1:29: unterminated block"
 
 
 class TestRealPrograms:
