@@ -46,5 +46,6 @@ def test_parallel_backend_wall_clock(benchmark):
     if cores >= 4:
         assert wall[4] < wall[1] * 1.1  # some benefit or at least no harm
 
-    benchmark.pedantic(lambda: program.run_parallel((10,), workers=2),
+    benchmark.pedantic(lambda: program.run((10,), backend="parallel",
+                                           parallelism=2).raw,
                        rounds=1, iterations=1)

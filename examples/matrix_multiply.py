@@ -39,7 +39,7 @@ def main() -> None:
     print(f"static (P&R) 4: checksum {static.value:.6f}  "
           f"modeled {static.time_s * 1e3:.2f} ms")
 
-    par = program.run_parallel((n,), workers=2)
+    par = program.run((n,), backend="parallel", parallelism=2).raw
     assert abs(par.value - seq.value) < 1e-9 * abs(seq.value)
     print(f"parallel x2:    checksum {par.value:.6f}  "
           f"wall {par.wall_time_s:.2f} s (real processes)")

@@ -52,7 +52,8 @@ def main() -> None:
     base = None
     last = None
     for workers in (1, 2, 4):
-        result = program.run_parallel((n,), workers=workers)
+        result = program.run((n,), backend="parallel",
+                             parallelism=workers).raw
         assert abs(result.value - seq.value) < 1e-6 * abs(seq.value)
         if base is None:
             base = result.wall_time_s

@@ -102,18 +102,6 @@ class Program:
                                          parallelism=parallelism,
                                          config=config).raw
 
-    def run_parallel(self, args: tuple = (), workers: int = 2,
-                     config=None, faults=None, **kwargs):
-        """Deprecated: use ``run(args, backend="parallel", ...)``."""
-        _deprecated_shim("run_parallel", "parallel")
-        from repro.backend import get_backend
-
-        parallelism = None if config is not None else workers
-        return get_backend("parallel").run(self, args,
-                                           parallelism=parallelism,
-                                           config=config, faults=faults,
-                                           **kwargs).raw
-
     # -- introspection ---------------------------------------------------
 
     def listing(self) -> str:

@@ -534,9 +534,9 @@ class ParallelBackend(Backend):
     noun = "workers"
     capabilities = frozenset({WALL_TIME, PARALLEL, METRICS, WAITS, TRACE,
                               FAULTS, RECOVERY})
-    _positive_finite_fields = ("timeout_s", "poll_interval_s", "grace_s",
-                               "read_timeout_s", "spin_ceiling_s",
-                               "retry_backoff_s", "retry_backoff_max_s")
+    _positive_finite_fields = ("timeout_s", "read_timeout_s",
+                               "spin_ceiling_s", "retry_backoff_s",
+                               "retry_backoff_max_s")
 
     def _config_type(self):
         from repro.common.config import ParallelConfig

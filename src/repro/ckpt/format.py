@@ -406,16 +406,16 @@ class CkptWriter:
         self.snapshots = 0
         self.elements = 0
         self.last_path: str | None = None
-        self._next_due: float | None = None
+        self.next_due: float | None = None
 
     # -- pacing -------------------------------------------------------
 
     def due(self, now: float) -> bool:
         """Interval pacing for wall-clock substrates."""
-        if self._next_due is None:
-            self._next_due = now + self.spec.interval_s
+        if self.next_due is None:
+            self.next_due = now + self.spec.interval_s
             return False
-        return now >= self._next_due
+        return now >= self.next_due
 
     def due_event(self, events: int) -> bool:
         """Event-boundary pacing for the simulator."""
@@ -427,6 +427,8 @@ class CkptWriter:
     def snapshot(self, arrays, identities_done, identities_total: int,
                  now: float | None = None) -> str:
         """Persist one checkpoint; returns the file path written."""
+        if now is not None:  # paced first: a failing disk retries later
+            self.next_due = now + self.spec.interval_s
         entries = [array_entry(seq, dims, page_size, elements)
                    for seq, dims, page_size, elements in arrays]
         progress = [{"identity": i, "complete": i in identities_done}
@@ -443,8 +445,6 @@ class CkptWriter:
         self.elements = sum(
             sum(len(cells) for cells in entry["pages"].values())
             for entry in entries)
-        if now is not None:
-            self._next_due = now + self.spec.interval_s
         self.last_path = path
         return path
 

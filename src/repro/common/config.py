@@ -92,14 +92,11 @@ class ParallelConfig:
             ``num_pes``).
         page_size: Elements per array page, as in :class:`MachineConfig`.
         timeout_s: Overall run deadline; workers still alive at the
-            deadline are terminated and reported as hung.
-        poll_interval_s: Supervisor poll granularity — a dead or hung
-            worker is detected within roughly this bound rather than at
-            the full ``timeout_s``.
-        grace_s: After a worker's process exits, how long the supervisor
-            keeps draining the result queue for the worker's final
-            message before declaring the worker crashed/lost (the queue
-            feeder thread flushes asynchronously with process exit).
+            deadline are terminated and reported as hung.  The
+            supervisor needs no poll interval or exit grace period: it
+            wakes on each worker's one-way result pipe and declares a
+            worker crashed/lost as soon as that pipe is at EOF and the
+            process has exited without reporting done.
         read_timeout_s: Deferred-read spin bound inside workers; a read
             of a never-written element raises a structured
             :class:`repro.common.errors.DeferredReadTimeout` after this
@@ -137,8 +134,6 @@ class ParallelConfig:
     workers: int = 2
     page_size: int = 32
     timeout_s: float = 120.0
-    poll_interval_s: float = 0.05
-    grace_s: float = 0.5
     read_timeout_s: float = 30.0
     spin_ceiling_s: float = 1.0
     recovery: bool = True
@@ -156,8 +151,8 @@ class ParallelConfig:
         if self.page_size < 1:
             raise ValueError(f"page_size must be >= 1, got {self.page_size}")
         _require_positive_finite(self, (
-            "timeout_s", "poll_interval_s", "grace_s", "read_timeout_s",
-            "spin_ceiling_s", "retry_backoff_s", "retry_backoff_max_s"))
+            "timeout_s", "read_timeout_s", "spin_ceiling_s",
+            "retry_backoff_s", "retry_backoff_max_s"))
         if self.max_retries_per_worker < 0:
             raise ValueError("max_retries_per_worker must be >= 0")
         if self.max_retries_total < 0:

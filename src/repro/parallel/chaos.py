@@ -55,8 +55,7 @@ function main(n) {
 """
 
 # Shrunk timings: the matrix must run in seconds, not backoff-minutes.
-FAST = dict(poll_interval_s=0.02, grace_s=0.2, retry_backoff_s=0.01,
-            retry_backoff_max_s=0.05)
+FAST = dict(retry_backoff_s=0.01, retry_backoff_max_s=0.05)
 
 
 @dataclass

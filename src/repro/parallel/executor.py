@@ -15,14 +15,15 @@ Distributed Execution:
   which also gives sweep pipelining for free;
 * arrays allocated inside a distributed iteration are worker-private.
 
-Process lifecycle is supervised: the parent watches worker sentinels
-concurrently with the result queue, so a crashed, lost, or hung worker
-surfaces as a structured :class:`WorkerFailure` within one poll interval
-— never as a silently truncated result or a full-timeout stall.  Shared
-segments are tracked in an append-only manifest
-(:mod:`repro.parallel.manifest`) and reclaimed on every exit path —
-including ``KeyboardInterrupt``/SIGTERM; the failure paths themselves
-are testable through deterministic fault injection
+Process lifecycle is supervised: each worker reports over its own
+one-way pipe, and the parent blocks on every pipe and on the sentinels
+of exited workers at once, so a message wakes it on arrival and a
+crashed, lost, or hung worker surfaces as a structured
+:class:`WorkerFailure` — never as a silently truncated result or a
+full-timeout stall.  Shared segments are tracked in an append-only
+manifest (:mod:`repro.parallel.manifest`) and reclaimed on every exit
+path — including ``KeyboardInterrupt``/SIGTERM; the failure paths
+themselves are testable through deterministic fault injection
 (:mod:`repro.parallel.faults`).
 
 On top of the supervisor sits the *self-healing* layer
@@ -52,7 +53,6 @@ from __future__ import annotations
 import logging
 import multiprocessing as mp
 import os
-import queue
 import signal
 import time
 from dataclasses import dataclass, field, replace
@@ -76,6 +76,9 @@ from repro.parallel.shm_arrays import ShmArray
 log = logging.getLogger("repro.parallel")
 
 _RETRIABLE = ("crash", "lost")
+# Characters of traceback an ``err`` message carries after the exception
+# line; a call-depth failure's full traceback runs to tens of kilobytes.
+_TRACEBACK_TAIL = 4096
 
 
 @dataclass(frozen=True)
@@ -295,7 +298,7 @@ class _WorkerInterpreter(SpmdInterpreter):
 
 
 def _worker_main(program, graph, spec: _WorkerSpec, num_workers, run_tag,
-                 page_size, entry, args, out_queue, manifest_path,
+                 page_size, entry, args, conn, manifest_path,
                  read_timeout_s, spin_ceiling_s, plan,
                  report_allocs=False) -> None:
     # Fork inherits the parent's SIGTERM→KeyboardInterrupt handler; a
@@ -310,19 +313,19 @@ def _worker_main(program, graph, spec: _WorkerSpec, num_workers, run_tag,
     def stall_fn(info: dict) -> None:
         # Timestamp worker-side with the system-wide monotonic clock so
         # the supervisor can reason about *when* the spin provably
-        # covered an instant (queue latency must not widen the
+        # covered an instant (pipe latency must not widen the
         # interval — the deadlock quorum's soundness depends on it).
         now = time.monotonic()
         info = dict(info)
         info["t_spin_start"] = now - info["waited_s"]
         info["t_report"] = now
-        out_queue.put(("stall", spec.slot, spec.generation, info))
+        conn.send(("stall", spec.slot, spec.generation, info))
 
     alloc_fn = None
     if report_allocs:
         def alloc_fn(seq: int, name: str, dims: tuple) -> None:
-            out_queue.put(("alloc", spec.slot, spec.generation,
-                           (seq, name, dims)))
+            conn.send(("alloc", spec.slot, spec.generation,
+                       (seq, name, dims)))
 
     interp = _WorkerInterpreter(program, graph, spec, num_workers,
                                 run_tag, page_size, entry,
@@ -339,33 +342,33 @@ def _worker_main(program, graph, spec: _WorkerSpec, num_workers, run_tag,
             if isinstance(value, ShmArray):
                 # Other workers may still be writing; the parent attaches
                 # and snapshots only after every worker reports done.
-                out_queue.put(("result", spec.slot, spec.generation,
-                               ("array", (value.name, value.dims))))
+                conn.send(("result", spec.slot, spec.generation,
+                           ("array", (value.name, value.dims))))
             else:
-                out_queue.put(("result", spec.slot, spec.generation,
-                               ("ok", value)))
-        out_queue.put(("done", spec.slot, spec.generation,
-                       interp.telemetry(time.perf_counter() - t0)))
+                conn.send(("result", spec.slot, spec.generation,
+                           ("ok", value)))
+        conn.send(("done", spec.slot, spec.generation,
+                   interp.telemetry(time.perf_counter() - t0)))
     except WorkerSuperseded as exc:
         # A successor generation owns this subrange now; exit quietly.
-        out_queue.put(("superseded", spec.slot, spec.generation, str(exc)))
+        conn.send(("superseded", spec.slot, spec.generation, str(exc)))
     except BaseException as exc:  # noqa: BLE001 - must cross the process
         import traceback
 
-        out_queue.put(("err", spec.slot, spec.generation,
-                       f"{type(exc).__name__}: {exc}\n"
-                       f"{traceback.format_exc()}"))
+        conn.send(("err", spec.slot, spec.generation,
+                   f"{type(exc).__name__}: {exc}\n"
+                   f"{traceback.format_exc()[-_TRACEBACK_TAIL:]}"))
     finally:
         interp.cleanup()
 
 
 @dataclass
 class _Rec:
-    """Supervisor-side record of one live worker process."""
+    """Supervisor-side record of one worker process and its pipe."""
 
     spec: _WorkerSpec
     proc: Any
-    grace_until: float | None = None
+    conn: Any  # read end of the worker's one-way pipe; closed at EOF
 
 
 def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
@@ -400,7 +403,6 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
     run_tag = f"pods{os.getpid()}_{int(time.monotonic_ns() % 1_000_000_000)}"
     manifest = ShmManifest.create(run_tag)
     ctx = mp.get_context("fork")
-    out_queue = ctx.Queue()
 
     rlog = RecoveryLog()
     t0_mono = time.monotonic()
@@ -409,7 +411,7 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
         return time.monotonic() - t0_mono
 
     active: dict[int, _Rec] = {}
-    all_procs: list = []
+    recs: list[_Rec] = []  # every generation ever started
     pending_spawns: list[tuple[float, _WorkerSpec]] = []
     completed: dict[int, dict] = {}
     remaining: set[int] = set(range(nw))
@@ -417,6 +419,9 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
     total_retries = 0
     # slot -> (t_spin_start, t_report, generation, info) latest stall
     stalls: dict[int, tuple] = {}
+    # When the latest ``done`` was handled: a stall reported before it
+    # is no deadlock evidence (see check_deadlock).
+    stall_floor = 0.0
     failures: list[WorkerFailure] = []
     result_msg: tuple | None = None
     fatal_message: str | None = None
@@ -425,14 +430,19 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
     allocs: dict[int, tuple[str, tuple]] = {}
 
     def spawn(spec: _WorkerSpec) -> None:
+        reader, writer = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_worker_main,
             args=(program_ast, graph, spec, nw, run_tag, cfg.page_size,
-                  entry, args, out_queue, manifest.path, cfg.read_timeout_s,
+                  entry, args, writer, manifest.path, cfg.read_timeout_s,
                   cfg.spin_ceiling_s, plan, ckpt is not None))
         proc.start()
-        all_procs.append(proc)
-        active[spec.slot] = _Rec(spec=spec, proc=proc)
+        # Closed before the next fork, so the worker holds the only write
+        # end: its exit, even mid-message, is always EOF on ``reader``.
+        writer.close()
+        rec = _Rec(spec=spec, proc=proc, conn=reader)
+        recs.append(rec)
+        active[spec.slot] = rec
         stalls.pop(spec.slot, None)
 
     def fail(rec: _Rec, wf: WorkerFailure) -> None:
@@ -506,7 +516,7 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
             newspec.generation)
 
     def handle(msg: tuple) -> None:
-        nonlocal result_msg
+        nonlocal result_msg, stall_floor
         tag, slot, gen, payload = msg
         if tag == "alloc":
             # Any generation may report: allocation order is
@@ -527,13 +537,11 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
             completed[slot] = payload
             remaining.difference_update(rec.spec.identities)
             del active[slot]
-            # A completing worker may have satisfied a blocked read
-            # *after* a stale stall interval was recorded, so every
-            # recorded interval is now invalid as deadlock evidence.
-            # Truly blocked workers re-report at the next ceiling
-            # crossing, so a real deadlock is still caught one spin
-            # ceiling later.
-            stalls.clear()
+            # It may have satisfied a blocked read after a stall report
+            # (pipes do not order one worker's messages against
+            # another's), so only later reports are deadlock evidence;
+            # truly blocked workers re-report at the next ceiling.
+            stall_floor = time.monotonic()
         elif tag == "err":
             del active[slot]
             fail(rec, WorkerFailure(slot, exitcode=None, kind="error",
@@ -552,12 +560,13 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
 
         Each stall report carries the interval [spin start, report time]
         during which its worker was certainly inside a deferred-read
-        spin (worker-side monotonic timestamps).  If every live worker's
-        latest interval shares a common instant, then at that instant no
-        process that could ever produce a write was running — only
-        workers write, and intervals recorded before the most recent
-        completion are discarded in ``handle`` (the completing worker
-        may have written the awaited element after the report) — so the
+        spin (worker-side monotonic timestamps).  Only intervals ending
+        after the latest completion was handled (``stall_floor``) count:
+        the completed worker may have written the awaited element after
+        an earlier report.  If every live worker's latest interval
+        shares a common instant, the last such instant comes after every
+        completed worker's final write, so at it no process that could
+        ever produce a write was running — only workers write — and the
         blocked reads can never be satisfied: deadlock, reported
         causally instead of after ``read_timeout_s``.
         """
@@ -567,7 +576,8 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
         intervals = []
         for slot, rec in active.items():
             iv = stalls.get(slot)
-            if iv is None or iv[2] != rec.spec.generation:
+            if iv is None or iv[2] != rec.spec.generation \
+                    or iv[1] < stall_floor:
                 return  # this worker is not provably blocked
             intervals.append((slot, iv))
         lo = max(iv[0] for _, iv in intervals)
@@ -584,6 +594,25 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
                 generation=active[slot].spec.generation))
         fatal_message = ("every live worker blocked in a deferred-read "
                          "spin (missing write -> deadlock)")
+
+    def drain(rec: _Rec) -> None:
+        """Handle every message waiting in ``rec``'s pipe; close at EOF."""
+        try:
+            while rec.conn.poll():
+                handle(rec.conn.recv())
+        except (EOFError, OSError):  # a torn last frame is EOF too
+            rec.conn.close()
+
+    def exited(rec: _Rec) -> None:
+        """At EOF, sentinel fired, no ``done``: crashed or lost."""
+        rec.proc.join()
+        code = rec.proc.exitcode
+        del active[rec.spec.slot]
+        fail(rec, WorkerFailure(
+            rec.spec.slot, exitcode=code,
+            kind="lost" if code == 0 else "crash",
+            detail="exited without reporting a result",
+            generation=rec.spec.generation))
 
     def do_snapshot(now: float | None = None) -> None:
         """Snapshot every reported segment into the checkpoint store.
@@ -642,14 +671,9 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
         for w in range(nw):
             spawn(_WorkerSpec(slot=w, identities=(w,),
                               replay=restore is not None))
-        while remaining and not failures:
-            # Drain every message already delivered.
-            while True:
-                try:
-                    handle(out_queue.get_nowait())
-                except queue.Empty:
-                    break
-            if not remaining or failures:
+        while True:
+            check_deadlock()
+            if failures or not remaining:
                 break
             now = time.monotonic()
             if ckpt is not None and ckpt.due(now):
@@ -676,28 +700,6 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
                         generation=s.generation))
                 pending_spawns.clear()
                 break
-            # A worker that exited without reporting gets a short grace
-            # for its final queue message to flush, then is declared
-            # crashed (nonzero exit) or lost (clean exit, no message).
-            for slot in sorted(active):
-                rec = active[slot]
-                if rec.proc.is_alive():
-                    continue
-                if rec.grace_until is None:
-                    rec.grace_until = now + cfg.grace_s
-                elif now >= rec.grace_until:
-                    code = rec.proc.exitcode
-                    del active[slot]
-                    fail(rec, WorkerFailure(
-                        slot, exitcode=code,
-                        kind="lost" if code == 0 else "crash",
-                        detail="exited without reporting a result",
-                        generation=rec.spec.generation))
-            if failures or not remaining:
-                break
-            check_deadlock()
-            if failures:
-                break
             if not active and not pending_spawns:
                 fatal_message = ("no live worker or pending respawn covers "
                                  f"identities {sorted(remaining)}")
@@ -706,16 +708,19 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
                     detail="identity left uncovered (supervisor invariant "
                            "violation)"))
                 break
-            sentinels = [rec.proc.sentinel for rec in active.values()
-                         if rec.proc.is_alive()]
-            wait_s = min(cfg.poll_interval_s, max(deadline - now, 0.001))
-            if pending_spawns:
-                nxt = min(d for d, _ in pending_spawns) - now
-                wait_s = min(wait_s, max(nxt, 0.001))
-            if sentinels:
-                connection.wait(sentinels, timeout=wait_s)
-            else:
-                time.sleep(min(wait_s, 0.005))
+            # Every generation's pipe is read to EOF; a live worker's
+            # sentinel is watched once its pipe is closed.
+            wake = min([deadline, *(d for d, _ in pending_spawns)]
+                       + ([ckpt.next_due] if ckpt is not None else []))
+            watch = {rec.conn: rec for rec in recs if not rec.conn.closed}
+            watch.update((rec.proc.sentinel, rec)
+                         for rec in active.values() if rec.conn.closed)
+            for obj in connection.wait(list(watch), timeout=wake - now):
+                rec = watch[obj]
+                if obj is rec.conn:
+                    drain(rec)
+                elif active.get(rec.spec.slot) is rec:
+                    exited(rec)
         wall = time.perf_counter() - start
 
         if failures:
@@ -775,22 +780,18 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
         raise
     finally:
         # Uniform teardown for success, failure, and interrupt alike:
-        # stop every process ever started, drain the queue, reclaim all
-        # shared segments via the manifest (plus prefix sweep).
-        for p in all_procs:
-            if p.is_alive():
-                p.terminate()
-        for p in all_procs:
-            p.join(timeout=5.0)
-            if p.is_alive():  # pragma: no cover - terminate was refused
-                p.kill()
-                p.join()
-        while True:
-            try:
-                out_queue.get_nowait()
-            except (queue.Empty, OSError, ValueError):
-                break
-        out_queue.close()
+        # stop every process ever started, close its pipe after the
+        # join (no worker meets a broken pipe), and reclaim all shared
+        # segments via the manifest (plus prefix sweep).
+        for rec in recs:
+            if rec.proc.is_alive():
+                rec.proc.terminate()
+        for rec in recs:
+            rec.proc.join(timeout=5.0)
+            if rec.proc.is_alive():  # pragma: no cover - terminate refused
+                rec.proc.kill()
+                rec.proc.join()
+            rec.conn.close()
         manifest.cleanup()
         if prev_handler is not None:
             try:

@@ -18,7 +18,7 @@ Trigger events, counted per worker:
 
 * ``iter``   — one distributed-loop iteration is about to run;
 * ``write``  — one shared-array write is about to happen;
-* ``result`` — the worker is about to enqueue its result/telemetry;
+* ``result`` — the worker is about to send its result/telemetry;
 * ``spin``   — a deferred read just found its element absent and is
   about to start spinning.
 

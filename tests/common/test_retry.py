@@ -69,8 +69,7 @@ function main(n) {
 """
 
 # Shrunk timings so the budget-exhaustion runs finish in milliseconds.
-FAST = dict(poll_interval_s=0.02, grace_s=0.2, retry_backoff_s=0.01,
-            retry_backoff_max_s=0.05)
+FAST = dict(retry_backoff_s=0.01, retry_backoff_max_s=0.05)
 
 
 class TestBudgetEdges:
@@ -86,8 +85,8 @@ class TestBudgetEdges:
         p = compile_source(FILL)
         cfg = ParallelConfig(workers=2, max_retries_total=0, **FAST)
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((8,), config=cfg,
-                           faults="kill:worker=1,on=iter,after=0")
+            p.run((8,), backend="parallel", config=cfg,
+                  faults="kill:worker=1,on=iter,after=0").raw
         assert "recovery budget exhausted (0 retries)" in str(exc.value)
         assert exc.value.recovery.respawns == 0
 
@@ -104,7 +103,8 @@ class TestBudgetEdges:
         cfg = ParallelConfig(workers=2, max_retries_per_worker=1,
                              max_retries_total=1, **FAST)
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((8,), config=cfg, faults="kill:worker=1,gen=0")
+            p.run((8,), backend="parallel", config=cfg,
+                  faults="kill:worker=1,gen=0").raw
         assert "recovery budget exhausted (1 retries)" in str(exc.value)
         kinds = [e.kind for e in exc.value.recovery.events]
         assert kinds.count("respawn") == 1

@@ -118,7 +118,7 @@ def test_backend_agreement(name, compiled):
 def test_parallel_backend_agreement(name, compiled):
     program, args, expected = compiled[name]
     oracle = program.run_sequential(args).value
-    par = program.run_parallel(args, workers=2).value
+    par = program.run(args, backend="parallel", parallelism=2).raw.value
     assert par == pytest.approx(oracle, rel=1e-12)
 
 
@@ -138,7 +138,7 @@ def test_cross_backend_metric_differential(compiled):
     sim_cfg = SimConfig(machine=MachineConfig(num_pes=2),
                         obs=ObsConfig(metrics=True, timelines=True))
     sim = program.run_pods(args, num_pes=2, config=sim_cfg)
-    par = program.run_parallel(args, workers=2)
+    par = program.run(args, backend="parallel", parallelism=2).raw
     assert sim.value == par.value == expected
 
     sim_reg, par_reg = sim.stats.registry, par.registry
@@ -194,7 +194,7 @@ def test_cross_backend_wait_attribution(compiled):
                         obs=ObsConfig(metrics=True, timelines=True,
                                       waits=True))
     sim = program.run_pods(args, num_pes=2, config=sim_cfg)
-    par = program.run_parallel(args, workers=2)
+    par = program.run(args, backend="parallel", parallelism=2).raw
     oracle = program.run_sequential(args).value
     assert sim.value == pytest.approx(oracle, rel=1e-12)
     assert par.value == pytest.approx(oracle, rel=1e-12)

@@ -56,9 +56,8 @@ function main(n) {
 }
 """
 
-# Shrunk supervisor/backoff timings so the whole matrix runs in seconds.
-FAST = dict(poll_interval_s=0.02, grace_s=0.2, retry_backoff_s=0.01,
-            retry_backoff_max_s=0.05)
+# Shrunk backoff timings so the whole matrix runs in seconds.
+FAST = dict(retry_backoff_s=0.01, retry_backoff_max_s=0.05)
 
 
 def fast_cfg(workers=2, **kw) -> ParallelConfig:
@@ -180,7 +179,7 @@ class TestStallWatchdog:
         cfg = fast_cfg(workers=2, read_timeout_s=30.0, spin_ceiling_s=0.05)
         start = time.monotonic()
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((8,), config=cfg)
+            p.run((8,), backend="parallel", config=cfg).raw
         assert time.monotonic() - start < 10.0
         assert "deadlock" in str(exc.value)
         assert exc.value.failures
@@ -198,10 +197,10 @@ class TestStallWatchdog:
         p = compile_source(SWEEP)
         seq = p.run_sequential((12,))
         cfg = fast_cfg(workers=2, spin_ceiling_s=0.05)
-        res = p.run_parallel(
-            (12,), config=cfg,
+        res = p.run(
+            (12,), backend="parallel", config=cfg,
             faults="hang:worker=1,on=spin,seconds=0.3;"
-                   "delay:worker=0,on=write,seconds=0.005")
+                   "delay:worker=0,on=write,seconds=0.005").raw
         assert res.value.flat == seq.value.flat
         assert res.recovery.respawns == 0
         assert res.recovery.stall_reports >= 1, \
@@ -218,7 +217,7 @@ class TestRecoveryMatrix:
     def heal(self, faults, n=10, **cfg_kw):
         p = compile_source(FILL)
         cfg = fast_cfg(**cfg_kw)
-        res = p.run_parallel((n,), config=cfg, faults=faults)
+        res = p.run((n,), backend="parallel", config=cfg, faults=faults).raw
         assert res.value.flat == self._seq(n), "not bit-identical"
         assert_no_leaked_segments()
         return res
@@ -283,7 +282,8 @@ class TestRecoveryMatrix:
         p = compile_source(FILL)
         cfg = fast_cfg(max_retries_per_worker=1, max_retries_total=3)
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((10,), config=cfg, faults="kill:worker=1,gen=0")
+            p.run((10,), backend="parallel", config=cfg,
+                  faults="kill:worker=1,gen=0").raw
         assert "recovery budget exhausted" in str(exc.value)
         assert exc.value.recovery.respawns >= 1
         assert_no_leaked_segments()
@@ -292,8 +292,8 @@ class TestRecoveryMatrix:
         p = compile_source(FILL)
         cfg = fast_cfg(max_retries_per_worker=1, max_retries_total=4)
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((10,), config=cfg,
-                           faults="kill:worker=0,gen=0;kill:worker=1,gen=0")
+            p.run((10,), backend="parallel", config=cfg,
+                  faults="kill:worker=0,gen=0;kill:worker=1,gen=0").raw
         assert exc.value.failures
         assert exc.value.recovery is not None
         assert "recovery:" in str(exc.value)
@@ -303,8 +303,8 @@ class TestRecoveryMatrix:
         p = compile_source(FILL)
         cfg = fast_cfg(recovery=False)
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((10,), config=cfg,
-                           faults="kill:worker=1,on=iter,after=2")
+            p.run((10,), backend="parallel", config=cfg,
+                  faults="kill:worker=1,on=iter,after=2").raw
         (failure,) = exc.value.failures
         assert failure.kind == "crash"
         assert_no_leaked_segments()
@@ -314,8 +314,9 @@ class TestRecoveryMatrix:
         # happened, so zero-fault registries stay identical across
         # recovery on/off (cross-backend differential + bench goldens).
         p = compile_source(FILL)
-        on = p.run_parallel((8,), config=fast_cfg())
-        off = p.run_parallel((8,), config=fast_cfg(recovery=False))
+        on = p.run((8,), backend="parallel", config=fast_cfg()).raw
+        off = p.run((8,), backend="parallel",
+                    config=fast_cfg(recovery=False)).raw
         strip = ("par.wall_time_s", "par.spin_wait_s", "par.max_spin_wait_s",
                  "wait.us", "array.deferred_reads")
 
@@ -388,8 +389,8 @@ function main(n) {
 ''')
 print("READY", flush=True)
 try:
-    p.run_parallel((12,), workers=2, timeout_s=60.0,
-                   faults="hang:worker=1,on=iter,after=1,seconds=120")
+    p.run((12,), backend="parallel", parallelism=2, timeout_s=60.0,
+          faults="hang:worker=1,on=iter,after=1,seconds=120").raw
 except KeyboardInterrupt:
     sys.exit(42)
 sys.exit(1)

@@ -8,6 +8,10 @@ segments behind.
 """
 
 import glob
+import multiprocessing as mp
+import os
+import signal
+import struct
 import time
 
 import pytest
@@ -15,6 +19,7 @@ import pytest
 from repro.api import compile_source
 from repro.common.config import ParallelConfig
 from repro.common.errors import ExecutionError, ParallelExecutionError
+from repro.parallel import executor
 
 FILL = """
 function main(n) {
@@ -83,8 +88,8 @@ class TestSupervisor:
         p = compile_source(FILL)
         start = time.monotonic()
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((10,), workers=2, config=NO_RECOVERY,
-                           faults="kill:worker=1,on=iter,after=2")
+            p.run((10,), backend="parallel", config=NO_RECOVERY,
+                  faults="kill:worker=1,on=iter,after=2").raw
         elapsed = time.monotonic() - start
         (failure,) = exc.value.failures
         assert failure.worker == 1
@@ -102,8 +107,8 @@ class TestSupervisor:
         p = compile_source(FILL)
         start = time.monotonic()
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((24,), workers=2, config=NO_RECOVERY,
-                           faults="kill:worker=1,on=iter,after=0")
+            p.run((24,), backend="parallel", config=NO_RECOVERY,
+                  faults="kill:worker=1,on=iter,after=0").raw
         elapsed = time.monotonic() - start
         assert [f.worker for f in exc.value.failures] == [1]
         assert elapsed < 15.0
@@ -115,8 +120,8 @@ class TestSupervisor:
         # produces a structured hang failure, never a result.
         p = compile_source(FILL)
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((10,), workers=2, timeout_s=1.0,
-                           faults="hang:worker=0,on=iter,after=2,seconds=60")
+            p.run((10,), backend="parallel", parallelism=2, timeout_s=1.0,
+                  faults="hang:worker=0,on=iter,after=2,seconds=60").raw
         assert "unjoined workers" in str(exc.value)
         hangs = [f for f in exc.value.failures if f.kind == "hang"]
         assert [f.worker for f in hangs] == [0]
@@ -125,8 +130,8 @@ class TestSupervisor:
     def test_dropped_worker_reported_lost(self):
         p = compile_source(FILL)
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((10,), workers=2, config=NO_RECOVERY,
-                           faults="drop:worker=1")
+            p.run((10,), backend="parallel", config=NO_RECOVERY,
+                  faults="drop:worker=1").raw
         (failure,) = exc.value.failures
         assert failure.kind == "lost"
         assert failure.exitcode == 0
@@ -140,7 +145,7 @@ class TestSupervisor:
         cfg = ParallelConfig(workers=2, read_timeout_s=0.3)
         start = time.monotonic()
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((8,), workers=2, config=cfg)
+            p.run((8,), backend="parallel", config=cfg).raw
         assert time.monotonic() - start < 15.0
         assert "deadlock" in str(exc.value)
         assert all(f.kind == "error" for f in exc.value.failures)
@@ -150,17 +155,17 @@ class TestSupervisor:
         # Callers that predate the supervisor catch ExecutionError.
         p = compile_source(FILL)
         with pytest.raises(ExecutionError):
-            p.run_parallel((10,), workers=2, config=NO_RECOVERY,
-                           faults="kill:worker=0,on=iter,after=1")
+            p.run((10,), backend="parallel", config=NO_RECOVERY,
+                  faults="kill:worker=0,on=iter,after=1").raw
         assert_no_leaked_segments()
 
     def test_env_var_drives_fault_injection(self, monkeypatch):
         p = compile_source(FILL)
         monkeypatch.setenv("PODS_FAULTS", "kill:worker=1,on=iter,after=1")
         with pytest.raises(ParallelExecutionError):
-            p.run_parallel((10,), workers=2, config=NO_RECOVERY)
+            p.run((10,), backend="parallel", config=NO_RECOVERY).raw
         monkeypatch.delenv("PODS_FAULTS")
-        result = p.run_parallel((6,), workers=2)
+        result = p.run((6,), backend="parallel", parallelism=2).raw
         assert result.value[6, 6] == pytest.approx(36.25)
         assert_no_leaked_segments()
 
@@ -168,17 +173,89 @@ class TestSupervisor:
         # The delay fault widens race windows without changing results.
         p = compile_source(FILL)
         seq = p.run_sequential((6,))
-        par = p.run_parallel((6,), workers=2,
-                             faults="delay:worker=1,on=write,seconds=0.001")
+        par = p.run((6,), backend="parallel", parallelism=2,
+                    faults="delay:worker=1,on=write,seconds=0.001").raw
         assert par.value.flat == seq.value.flat
         assert_no_leaked_segments()
+
+
+_worker_main = executor._worker_main  # the unpatched worker body
+
+
+def _tearing_worker(*args):
+    """Worker 1 dies part-way through a 2 MiB frame; the rest run."""
+    spec, channel = args[2], args[8]
+    if spec.slot == 1:
+        # The frame is the length header plus the first MiB of its body,
+        # written to the raw pipe (a queue's, or the worker's own), then
+        # SIGKILL: the parent is left holding a torn message.
+        fd = getattr(channel, "_writer", channel).fileno()
+        frame = memoryview(struct.pack("!i", 2 << 20) + bytes(1 << 20))
+        while frame:
+            frame = frame[os.write(fd, frame):]
+        os.kill(os.getpid(), signal.SIGKILL)
+    _worker_main(*args)
+
+
+def _run_and_report(conn):
+    """Child-process body: run with a tearing worker, send the outcome."""
+    p = compile_source(FILL)
+    try:
+        p.run((10,), backend="parallel", config=NO_RECOVERY)
+        conn.send(("ok", []))
+    except ParallelExecutionError as exc:
+        conn.send(("error", [(f.worker, f.kind, f.exitcode)
+                             for f in exc.failures]))
+
+
+class TestTornMessage:
+    def test_worker_killed_mid_send_is_a_prompt_crash(self, monkeypatch):
+        # A worker SIGKILLed in the middle of a large message must not
+        # hang the supervisor on the unfinished frame.  The run happens
+        # in a forked child under a bounded join, so a regression fails
+        # this test instead of hanging the suite.
+        monkeypatch.setattr(executor, "_worker_main", _tearing_worker)
+        ctx = mp.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_run_and_report, args=(writer,))
+        child.start()
+        writer.close()
+        child.join(timeout=30.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("supervisor hung on a torn worker message")
+        assert reader.poll(), f"child exited {child.exitcode} silently"
+        outcome, failures = reader.recv()
+        assert outcome == "error"
+        assert failures == [(1, "crash", -signal.SIGKILL)]
+        assert_no_leaked_segments()
+
+    def test_error_detail_is_capped(self):
+        # A call-depth failure's traceback runs to tens of kilobytes;
+        # the worker ships the exception line plus a bounded tail.
+        from repro.baseline.sequential import Interpreter
+
+        p = compile_source("""
+        function f(k) { r = if k <= 0 then 0 else 1 + f(k - 1); return r; }
+        function main(n) { return f(n); }
+        """)
+        limit = Interpreter(p.ast).max_depth
+        with pytest.raises(ParallelExecutionError) as exc:
+            p.run((limit,), backend="parallel", config=NO_RECOVERY)
+        assert exc.value.failures
+        for f in exc.value.failures:
+            first, _, _ = f.detail.partition("\n")
+            assert first.startswith("CallDepthError: ")
+            assert len(f.detail) <= len(first) + 1 + \
+                executor._TRACEBACK_TAIL
 
 
 class TestTelemetry:
     def test_per_worker_stats_populated(self):
         p = compile_source(FILL)
         n = 10
-        result = p.run_parallel((n,), workers=2)
+        result = p.run((n,), backend="parallel", parallelism=2).raw
         assert len(result.worker_stats) == 2
         assert [t.worker for t in result.worker_stats] == [0, 1]
         # Every element is written exactly once, by exactly one worker.
@@ -200,7 +277,7 @@ class TestTelemetry:
             return B;
         }
         """)
-        result = p.run_parallel((16,), workers=4)
+        result = p.run((16,), backend="parallel", parallelism=4).raw
         stats = result.worker_stats
         assert sum(t.shared_reads for t in stats) > 0
         # Spin-wait accounting can only be nonzero if a read deferred.

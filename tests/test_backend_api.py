@@ -146,10 +146,10 @@ class TestRunBoundaryConfigValidation:
         ("static", "retransmit_timeout_us"),
         ("static", "max_sim_time_us"),
         ("parallel", "timeout_s"),
-        ("parallel", "poll_interval_s"),
         ("parallel", "spin_ceiling_s"),
         ("parallel", "read_timeout_s"),
         ("parallel", "retry_backoff_s"),
+        ("parallel", "retry_backoff_max_s"),
         ("dist", "timeout_s"),
         ("dist", "poll_interval_s"),
         ("dist", "connect_timeout_s"),
@@ -185,8 +185,8 @@ class TestRunBoundaryConfigValidation:
     def test_constructors_reject_nan_outright(self):
         from repro.common.config import DistConfig
 
-        with pytest.raises(ValueError, match="poll_interval_s"):
-            ParallelConfig(workers=2, poll_interval_s=float("nan"))
+        with pytest.raises(ValueError, match="spin_ceiling_s"):
+            ParallelConfig(workers=2, spin_ceiling_s=float("nan"))
         with pytest.raises(ValueError, match="heartbeat_timeout_s"):
             DistConfig(nodes=2, heartbeat_timeout_s=float("nan"))
 
